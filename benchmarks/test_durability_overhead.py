@@ -153,7 +153,7 @@ def test_recovery_time_after_worker_kill(
                         events[sid].extend(gateway.ingest(sid, piece))
             victim = gateway.worker_of(next(iter(streams)))
             lost = gateway.sessions_on(victim)
-            proc = gateway.gateway._procs[victim]
+            proc = gateway._procs[victim]
             os.kill(proc.pid, signal.SIGKILL)
             proc.join(5.0)
             start = time.perf_counter()

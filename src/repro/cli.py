@@ -223,7 +223,6 @@ def cmd_serve(args) -> int:
         Autoscaler,
         ShardedGateway,
         StreamGateway,
-        SupervisedGateway,
         open_journal,
         serve_autoscaled,
         serve_round_robin,
@@ -292,8 +291,6 @@ def cmd_serve(args) -> int:
             args.journal, args.journal_backend,
             snapshot_every=args.snapshot_every,
         )
-    # A supervisor only helps where workers can die independently.
-    supervised = journal is not None and sharded and args.worker_mode == "process"
     if autoscaled:
         tier = (
             f"elastic pool {args.min_workers}..{args.max_workers} workers, "
@@ -304,10 +301,7 @@ def cmd_serve(args) -> int:
     else:
         tier = "single process"
     if journal is not None:
-        tier += (
-            f", {args.journal_backend}-journaled"
-            + (" + supervised" if supervised else "")
-        )
+        tier += f", {args.journal_backend}-journaled"
     print(
         f"Ingesting round-robin ({tier}, {args.chunk_ms:.0f} ms chunks, "
         f"max_batch={args.max_batch}, max_latency_ticks={args.max_latency_ticks}) ..."
@@ -318,14 +312,7 @@ def cmd_serve(args) -> int:
             placement=placement, worker_mode=args.worker_mode,
             **gateway_kwargs,
         )
-        if supervised:
-            context = SupervisedGateway(
-                classifier, fs, journal=journal, **pool_kwargs
-            )
-        else:
-            context = ShardedGateway(
-                classifier, fs, journal=journal, **pool_kwargs
-            )
+        context = ShardedGateway(classifier, fs, journal=journal, **pool_kwargs)
     else:
         context = nullcontext(
             StreamGateway(classifier, fs, journal=journal, **gateway_kwargs)
@@ -375,7 +362,7 @@ def cmd_serve(args) -> int:
                     f"{stats['migrations']} session migrations; "
                     f"batching stats cover the final pool"
                 )
-            if supervised:
+            if journal is not None:
                 print(
                     f"  journal: {args.journal_backend} store at "
                     f"{args.journal}, snapshot every {args.snapshot_every} "
@@ -436,7 +423,6 @@ def _serve_listen(args, classifier) -> int:
     from repro.serving import (
         ShardedGateway,
         StreamGateway,
-        SupervisedGateway,
         open_journal,
         recover_sessions,
     )
@@ -461,24 +447,13 @@ def _serve_listen(args, classifier) -> int:
             args.journal, args.journal_backend,
             snapshot_every=args.snapshot_every,
         )
-    supervised = (
-        journal is not None and args.workers > 1
-        and args.worker_mode == "process"
-    )
     if args.workers > 1:
         pool_kwargs = dict(
             workers=args.workers,
             placement=args.placement or "hash",
             worker_mode=args.worker_mode, **gateway_kwargs,
         )
-        if supervised:
-            context = SupervisedGateway(
-                classifier, fs, journal=journal, **pool_kwargs
-            )
-        else:
-            context = ShardedGateway(
-                classifier, fs, journal=journal, **pool_kwargs
-            )
+        context = ShardedGateway(classifier, fs, journal=journal, **pool_kwargs)
         tier = f"{args.workers} {args.worker_mode} workers"
     else:
         context = nullcontext(
@@ -486,10 +461,7 @@ def _serve_listen(args, classifier) -> int:
         )
         tier = "single process"
     if journal is not None:
-        tier += (
-            f", {args.journal_backend}-journaled"
-            + (" + supervised" if supervised else "")
-        )
+        tier += f", {args.journal_backend}-journaled"
 
     async def _run(gateway) -> None:
         server = GatewayServer(gateway, host=host, port=port)
@@ -508,7 +480,7 @@ def _serve_listen(args, classifier) -> int:
         if journal is not None:
             # Restart recovery: rebuild any sessions journaled by a
             # previous process before accepting connections.
-            if supervised:
+            if args.workers > 1:
                 recovered = gateway.check_workers()
             else:
                 recovered = len(recover_sessions(journal, gateway))
@@ -925,10 +897,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "inline in-process workers sharing one batch")
     serve.add_argument("--journal", default=None, metavar="DIR",
                        help="write-ahead session journal directory: chunks "
-                            "are journaled before processing, snapshots taken "
-                            "on a cadence, and (with --workers N process "
-                            "mode) a supervisor respawns crashed workers and "
-                            "recovers their sessions bit-exactly")
+                            "are journaled before processing and snapshots "
+                            "taken on a cadence; a journaled --workers N pool "
+                            "respawns crashed workers and recovers their "
+                            "sessions bit-exactly by itself")
     serve.add_argument("--journal-backend", default="file",
                        choices=("file", "sqlite"),
                        help="journal persistence: file-per-session logs or a "

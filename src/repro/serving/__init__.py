@@ -39,10 +39,12 @@ once; this package is that workload's engine, in two shapes:
 * **Durability** (:mod:`repro.serving.durability`): a write-ahead
   :class:`SessionJournal` (periodic ``SessionExport`` snapshots + an
   append-only chunk log per session, over pluggable
-  :class:`JournalStore` backends — memory, file-per-session, sqlite)
-  and a :class:`SupervisedGateway` that detects worker death, respawns
-  the worker and replays snapshot+log to recover every lost session
-  bit-exactly — chunk-invariance as the recovery contract.
+  :class:`JournalStore` backends — memory, file-per-session, sqlite).
+  A :class:`ShardedGateway` given a journal supervises itself: it
+  detects worker death, respawns the worker and replays snapshot+log
+  to recover every lost session bit-exactly — chunk-invariance as the
+  recovery contract.  :class:`SupervisedGateway` builds that pool from
+  a journal, a store or a path.
 * **Analytics** (:mod:`repro.serving.analytics`): composable O(1)
   per-beat streaming operators over the gateway's beat-event bus —
   incremental RR statistics (:class:`RRStats`), frequency-domain HRV

@@ -602,6 +602,17 @@ class AnalyticsPipeline:
             "operators": {op.name: op.summary() for op in self.operators},
         }
 
+    def rollup(self) -> dict:
+        """This session's entry in the ``stats()["analytics"]`` rollup
+        (alerts are counted by the gateway, not the pipeline)."""
+        return {
+            "sessions": 1,
+            "beats": self.n_beats,
+            "episodes": self.n_episodes,
+            "alerts": 0,
+            "by_kind": dict(self.episodes_by_kind),
+        }
+
 
 def default_pipeline() -> list[StreamOperator]:
     """The standard operator set (the CLI's ``--analytics`` pipeline)."""

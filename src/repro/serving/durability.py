@@ -1,4 +1,4 @@
-"""Crash durability: write-ahead session journal + worker supervisor.
+"""Crash durability: the write-ahead session journal.
 
 A ``kill -9`` on a :class:`~repro.serving.sharded.ShardedGateway`
 worker loses every session it owns — the one failure mode the scaling
@@ -12,7 +12,7 @@ the serving stack's oldest invariant:
     sizes, interleavings and flush boundaries — so *snapshot + replay*
     reconstructs a lost session exactly, not approximately.
 
-Three layers:
+Two layers live here:
 
 * :class:`JournalStore` — the pluggable persistence interface (the
   point of the design: swap the medium, keep the semantics).  Three
@@ -23,28 +23,30 @@ Three layers:
 * :class:`SessionJournal` — the write-ahead policy over a store: an
   ``open`` record per session, a pickled
   :class:`~repro.serving.gateway.SessionExport` snapshot refreshed
-  every ``snapshot_every`` accepted chunks, an append-only log of the
-  chunks accepted since that snapshot, and a ``delivered`` counter of
-  the events already returned to the caller since that snapshot (so
+  every ``snapshot_every`` accepted chunks (set on the journal, e.g.
+  via :func:`open_journal`), an append-only log of the chunks
+  accepted since that snapshot, and a ``delivered`` counter of the
+  events already returned to the caller since that snapshot (so
   recovery never re-delivers).  :meth:`SessionJournal.recover` hands
   back everything needed to rebuild one session.
-* :class:`SupervisedGateway` — a :class:`ShardedGateway` wrapper that
-  journals every accepted chunk *before* it is shipped, detects worker
-  death (``Process.is_alive()`` / broken pipe, surfaced as
-  :class:`~repro.serving.sharded.WorkerCrashError`), respawns the dead
-  worker in place and rebuilds every lost session from its snapshot +
-  logged chunks — callers never see the crash, only a slightly slower
-  call.  The acknowledged prefix rule makes this exact: a chunk is
-  durable the moment ``ingest`` returns, so recovered event sequences
-  are bit-exact with a standalone node over exactly the acknowledged
-  chunks (``tests/serving/test_durability_chaos.py`` pins it under
-  seeded ``kill -9``).
+
+Any gateway tier journals through the same hooks.  A
+:class:`~repro.serving.sharded.ShardedGateway` built with a journal
+supervises itself: it detects worker death (``Process.is_alive()`` /
+broken pipe), respawns the dead worker in place and rebuilds every lost
+session from its snapshot + logged chunks — callers never see the
+crash, only a slightly slower call.  The acknowledged prefix rule makes
+this exact: a chunk is durable the moment ``ingest`` returns, so
+recovered event sequences are bit-exact with a standalone node over
+exactly the acknowledged chunks (``tests/serving/test_durability_chaos.py``
+pins it under seeded ``kill -9``).  :class:`SupervisedGateway` is that
+pool built from a journal, a store or a path.
 
 Recovery never writes to the journal (replay uses the raw worker
 protocol underneath the journal hooks), so a second crash mid-recovery
 just starts recovery over from the same durable state — the whole path
 is idempotent.  :func:`recover_sessions` applies the same replay to a
-fresh gateway after a *full-process* restart.
+fresh gateway of any tier after a *full-process* restart.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ import numpy as np
 
 from repro.serving.executors import validate_at_least
 from repro.serving.gateway import SessionExport
-from repro.serving.sharded import ShardedGateway, WorkerCrashError, _InlineWorker
+from repro.serving.sharded import ShardedGateway
 
 __all__ = [
     "FileJournalStore",
@@ -649,371 +651,44 @@ def open_journal(
     return SessionJournal(store, snapshot_every=snapshot_every)
 
 
-class SupervisedGateway:
-    """Crash-durable front over a :class:`ShardedGateway` worker pool.
+class SupervisedGateway(ShardedGateway):
+    """A self-healing :class:`ShardedGateway` built from a journal spec.
 
-    Construction wires a :class:`SessionJournal` into a new
-    :class:`ShardedGateway` (all ``**gateway_kwargs`` pass through:
-    ``workers``, ``placement``, QoS, backpressure, ...), then guards
-    the whole session surface: any call that hits a dead worker
-    (:class:`~repro.serving.sharded.WorkerCrashError` — ``kill -9``,
-    OOM, a broken pipe) triggers recovery and is retried transparently.
-
-    Recovery, per crash:
-
-    1. every worker whose process is no longer alive (plus the one the
-       failing call touched) is respawned **in place** — same index,
-       fresh empty process — via
-       :meth:`ShardedGateway.respawn_worker`;
-    2. every session the dead workers owned (plus any journaled
-       session no worker owns — a move interrupted mid-import) is
-       rebuilt: import its last snapshot (or re-open), replay the
-       logged chunks, force a flush, and keep every replayed event
-       past the journal's ``delivered`` count as the session's owed
-       backlog.  Chunk-invariance makes the rebuilt stream bit-exact;
-    3. the retried call completes against the healed pool.  A chunk
-       whose journal entry landed before the crash is *not* re-sent
-       (the replay already applied it — re-ingesting would
-       double-apply); the retry drains events instead.
-
-    Recovery reads the journal but never writes it, so a second crash
-    mid-recovery restarts it from the same durable state.
-
-    ``check_workers()`` runs the same sweep proactively (a supervisor
-    loop's heartbeat); on a journal directory that survived a full
-    process restart it also rebuilds every journaled session from disk.
+    The pool itself does the supervision (any ``ShardedGateway`` with a
+    ``journal`` respawns dead workers and rebuilds their sessions —
+    see :meth:`ShardedGateway.check_workers`); this subclass only
+    accepts the journal in more forms and owns the one it opens.
+    Every other keyword passes through to :class:`ShardedGateway`
+    (``workers``, ``placement``, QoS, backpressure, ...).
 
     Parameters
     ----------
     journal:
-        A :class:`SessionJournal`, a bare :class:`JournalStore`, or a
-        path (journaled via :func:`open_journal`'s ``"file"`` backend).
-    snapshot_every:
-        Snapshot cadence override (chunks between snapshots).
-    max_recover_attempts:
-        Crash-recovery rounds one call may consume before the
-        :class:`~repro.serving.sharded.WorkerCrashError` propagates
-        (workers dying faster than they can be respawned).
-    on_recover:
-        Optional ``hook(dead_workers, recovered_session_ids)`` called
-        after each recovery round.
+        A :class:`SessionJournal`, a bare :class:`JournalStore`
+        (wrapped with the default cadence), or a path (journaled via
+        :func:`open_journal`'s ``"file"`` backend and closed by
+        :meth:`shutdown`).  The snapshot cadence is the journal's
+        ``snapshot_every``.
     """
 
-    def __init__(
-        self,
-        classifier,
-        fs: float,
-        *,
-        journal,
-        snapshot_every: int | None = None,
-        max_recover_attempts: int = 8,
-        on_recover=None,
-        **gateway_kwargs,
-    ):
-        validate_at_least("max_recover_attempts", max_recover_attempts)
+    def __init__(self, classifier, fs: float, *, journal, **gateway_kwargs):
         self._owns_journal = False
-        if isinstance(journal, SessionJournal):
-            self.journal = journal
-        elif isinstance(journal, JournalStore):
-            self.journal = SessionJournal(journal)
-        else:
-            self.journal = open_journal(os.fspath(journal))
+        if isinstance(journal, JournalStore):
+            journal = SessionJournal(journal)
+        elif not isinstance(journal, SessionJournal):
+            journal = open_journal(os.fspath(journal))
             self._owns_journal = True
-        if snapshot_every is not None:
-            validate_at_least("snapshot_every", snapshot_every)
-            self.journal.snapshot_every = int(snapshot_every)
-        self.max_recover_attempts = int(max_recover_attempts)
-        self.on_recover = on_recover
-        self.n_recoveries = 0
-        self.n_sessions_recovered = 0
-        self.n_evictions_salvaged = 0
-        self._gateway = ShardedGateway(
-            classifier, fs, journal=self.journal, **gateway_kwargs
-        )
-
-    @property
-    def gateway(self) -> ShardedGateway:
-        """The supervised pool (escape hatch for tests/introspection)."""
-        return self._gateway
-
-    def __getattr__(self, name: str):
-        # Read-only surface (workers, placement, session_ids, ...)
-        # delegates; the crash-guarded methods are defined explicitly.
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return getattr(self._gateway, name)
-
-    # -- the crash guard -------------------------------------------------
-
-    def _call(self, fn, *args, **kwargs):
-        attempts = 0
-        while True:
-            try:
-                return fn(*args, **kwargs)
-            except WorkerCrashError as crash:
-                attempts += 1
-                if attempts > self.max_recover_attempts:
-                    raise
-                if crash.chunk_journaled and crash.session_id is not None:
-                    # The chunk is durable and recovery replays it —
-                    # re-sending would double-apply.  The retry only
-                    # drains the session's events.
-                    fn, args, kwargs = (
-                        self._drain_session, (crash.session_id,), {},
-                    )
-                try:
-                    self._recover_from(crash)
-                except WorkerCrashError:
-                    # Another worker died mid-recovery.  The journal is
-                    # untouched; the retried call crashes again and
-                    # re-enters recovery with a fresh liveness scan.
-                    pass
-
-    def _drain_session(self, session_id: str) -> list:
-        gw = self._gateway
-        if session_id not in gw._owner:
-            self._recover_from(None)  # finish an interrupted recovery
-        return gw.poll(session_id)
-
-    def _recover_from(self, crash: WorkerCrashError | None) -> int:
-        """One recovery round: respawn every dead worker, rebuild every
-        lost session.  Returns the number of sessions recovered."""
-        gw = self._gateway
-        dead = set()
-        if crash is not None:
-            dead.add(crash.worker)
-        for index, proc in enumerate(gw._procs):
-            if getattr(proc, "pid", None) is not None and not proc.is_alive():
-                dead.add(index)
-        if dead and isinstance(gw._conns[sorted(dead)[0]], _InlineWorker):
-            raise RuntimeError("cannot recover inline workers")
-        lost: list[tuple[str, object]] = []
-        for index in sorted(dead):
-            # Salvage first: a killed worker's already-written responses
-            # stay readable until its pipe drains.  Eviction notices in
-            # there carry final event sequences the worker-side gateway
-            # has already drained — without this pass they die with the
-            # connection (respawn_worker closes it unread) and the
-            # journal would resurrect the evicted session as live.
-            self.n_evictions_salvaged += self._salvage_responses(index)
-            for session_id in gw.sessions_on(index):
-                # Parent-side state of the dead worker's sessions is
-                # stale: undelivered buffered events regenerate on
-                # replay, the inbox restarts empty (its audit carries).
-                lost.append((session_id, gw._inboxes.get(session_id)))
-                gw._owner.pop(session_id, None)
-                gw._events.pop(session_id, None)
-                gw._errors.pop(session_id, None)
-                inbox = gw._inboxes.pop(session_id, None)
-                if inbox is not None:
-                    inbox.close()
-            gw.respawn_worker(index)
-        known = {session_id for session_id, _ in lost}
-        for session_id in self.journal.session_ids():
-            if session_id not in gw._owner and session_id not in known:
-                # Journaled but owned by nobody: a migration the crash
-                # interrupted between release and import, or a session
-                # persisted by a previous process (full restart).
-                lost.append((session_id, None))
-        recovered = []
-        for session_id, old_inbox in lost:
-            if self._recover_session(session_id, old_inbox):
-                recovered.append(session_id)
-        if dead or recovered:
-            self.n_recoveries += 1
-            self.n_sessions_recovered += len(recovered)
-            if self.on_recover is not None:
-                self.on_recover(sorted(dead), recovered)
-        return len(recovered)
-
-    def _salvage_responses(self, index: int) -> int:
-        """Drain whatever a dead worker managed to write before dying.
-
-        Eviction notices are delivered for real (``take_evicted()`` /
-        ``on_evict``, journal entry dropped so recovery does not
-        resurrect a session the worker already closed) and analytics
-        alerts / final summaries are folded in.  Pipelined ingest
-        payloads route into the normal parent buffers: a session this
-        same salvage batch *evicts* needs them merged ahead of the
-        eviction notice's tail, while a session that gets *recovered*
-        has its copy scrubbed below and regenerated by replay (the
-        journal's delivered counter only covers events the caller
-        actually took).  Returns the number of evicted sessions whose
-        final sequences were saved.  Tolerant of a pipe that breaks
-        mid-read (the crash can truncate anything).
-        """
-        gw = self._gateway
-        conn = gw._conns[index]
-        salvaged = 0
-        while True:
-            try:
-                if not conn.poll():
-                    break
-                response = conn.recv()
-            except (EOFError, BrokenPipeError, OSError):
-                break
-            try:
-                op, session_id, (status, value), evictions, aux = response
-            except (TypeError, ValueError, IndexError):
-                continue  # pragma: no cover - truncated frame
-            salvaged += sum(1 for sid, _ in evictions if sid in gw._owner)
-            gw._note_evictions(evictions)
-            gw._note_aux(aux)
-            if op == "ingest" and status == "ok":
-                if session_id in gw._owner:
-                    gw._events.setdefault(session_id, []).extend(value)
-                elif session_id in gw._evicted:
-                    gw._evicted[session_id].extend(value)
-        return salvaged
-
-    def _recover_session(self, session_id: str, old_inbox=None) -> bool:
-        """Rebuild one session from its journal: snapshot import (or
-        re-open), chunk replay, forced flush.  Replayed events past the
-        journal's delivered count become the session's owed backlog.
-        Never writes the journal — idempotent under repeated crashes."""
-        gw, journal = self._gateway, self.journal
-        rec = journal.recover(session_id)
-        if rec is None:
-            return False
-        # Scrub any stale half-recovered copy a previously interrupted
-        # recovery left behind (placement may pick a different target
-        # this round).
-        for index in range(gw.workers):
-            try:
-                gw._request(index, ("release", session_id))
-            except KeyError:
-                pass
-        target = gw._place(session_id)
-        if rec.export is not None:
-            gw._request(target, ("import", session_id, rec.export))
-        else:
-            gw._request(target, ("open", session_id, rec.open_kwargs or {}))
-        replayed: list = []
-        for chunk in rec.chunks:
-            replayed.extend(gw._request(target, ("ingest", session_id, chunk)))
-        # The original flushes rode other sessions' shared-clock ticks;
-        # a solo replay must force the tail out (flush boundaries never
-        # change event content — the pinned invariance).
-        gw._request(target, ("flush", None))
-        replayed.extend(gw._request(target, ("poll", session_id)))
-        if len(replayed) < rec.delivered:  # pragma: no cover - guard
-            raise RuntimeError(
-                f"journal replay of session {session_id!r} produced "
-                f"{len(replayed)} events, fewer than the {rec.delivered} "
-                "already delivered — journal accounting is broken"
-            )
-        gw._register(session_id, target)
-        if old_inbox is not None and session_id in gw._inboxes:
-            gw._inboxes[session_id].carry_audit(old_inbox)
-        residue = replayed[rec.delivered :]
-        if residue:
-            gw._events[session_id] = residue
-        return True
-
-    def check_workers(self) -> int:
-        """Proactive sweep: respawn dead workers, rebuild their (and
-        any orphaned journaled) sessions.  Returns sessions recovered.
-        Call it from a supervisor loop / after a full restart."""
-        attempts = 0
-        while True:
-            try:
-                return self._recover_from(None)
-            except WorkerCrashError:
-                attempts += 1
-                if attempts > self.max_recover_attempts:
-                    raise
-
-    # -- the guarded session surface -------------------------------------
-
-    def open_session(self, session_id: str, **kwargs) -> None:
-        """Open a session (crash-guarded); see
-        :meth:`ShardedGateway.open_session`."""
-        return self._call(self._gateway.open_session, session_id, **kwargs)
-
-    def ingest(self, session_id: str, chunk) -> list:
-        """Journal one chunk, ship it, return resolved events.
-
-        The chunk is durable when this returns — a worker crash at any
-        point afterwards recovers it by replay.  This is the
-        acknowledged-prefix contract the chaos suite pins."""
-        return self._call(self._gateway.ingest, session_id, chunk)
-
-    def poll(self, session_id: str) -> list:
-        """Drain a session's events (crash-guarded)."""
-        return self._call(self._gateway.poll, session_id)
-
-    def close_session(self, session_id: str) -> list:
-        """End a session; its journal entry is dropped with it."""
-        return self._call(self._gateway.close_session, session_id)
-
-    def export_session(self, session_id: str) -> SessionExport:
-        """Capture a session (also refreshes its journal snapshot)."""
-        return self._call(self._gateway.export_session, session_id)
-
-    def release_session(self, session_id: str) -> SessionExport:
-        """Capture and remove a session (journal entry dropped)."""
-        return self._call(self._gateway.release_session, session_id)
-
-    def import_session(self, export: SessionExport, session_id=None) -> str:
-        """Resume an exported session (journaled as a fresh snapshot)."""
-        return self._call(self._gateway.import_session, export, session_id)
-
-    def migrate_session(self, session_id: str, worker: int) -> None:
-        """Move a session between workers; the move carries the journal
-        (its capture doubles as a snapshot)."""
-        return self._call(self._gateway.migrate_session, session_id, worker)
-
-    def flush(self) -> int:
-        """Force a batched classifier pass on every worker."""
-        return self._call(self._gateway.flush)
-
-    def take_evicted(self) -> dict[str, list]:
-        """Evicted sessions' final event sequences (crash-guarded)."""
-        return self._call(self._gateway.take_evicted)
-
-    def take_alerts(self) -> list:
-        """Fleet-wide analytics alerts (crash-guarded)."""
-        return self._call(self._gateway.take_alerts)
-
-    def take_summaries(self) -> dict[str, dict]:
-        """Final analytics summaries (crash-guarded)."""
-        return self._call(self._gateway.take_summaries)
-
-    def add_worker(self) -> int:
-        """Grow the supervised pool by one worker."""
-        return self._call(self._gateway.add_worker)
-
-    def retire_worker(self, worker: int) -> int:
-        """Drain and reap one worker (crash-guarded)."""
-        return self._call(self._gateway.retire_worker, worker)
-
-    def stats(self) -> dict:
-        """Pool statistics plus the supervisor's recovery counters
-        (``recoveries``, ``sessions_recovered``, ``respawns``,
-        ``evictions_salvaged``)."""
-        totals = self._call(self._gateway.stats)
-        totals["recoveries"] = self.n_recoveries
-        totals["sessions_recovered"] = self.n_sessions_recovered
-        totals["respawns"] = self._gateway.n_respawns
-        totals["evictions_salvaged"] = self.n_evictions_salvaged
-        return totals
-
-    # -- lifecycle -------------------------------------------------------
+        super().__init__(classifier, fs, journal=journal, **gateway_kwargs)
 
     def shutdown(self) -> None:
         """Reap the pool.  The journal persists (that is the point) —
         sessions still open recover via :meth:`check_workers` on a new
-        instance over the same store; the store is closed only if this
-        wrapper created it from a path."""
-        self._gateway.shutdown()
+        pool over the same store; the store is closed only if this
+        instance opened it from a path."""
+        super().shutdown()
         if self._owns_journal:
+            self._owns_journal = False
             self.journal.close()
-
-    def __enter__(self) -> "SupervisedGateway":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
 
 
 def recover_sessions(journal: SessionJournal, gateway) -> dict[str, list]:

@@ -69,10 +69,9 @@ import multiprocessing
 import zlib
 from dataclasses import dataclass
 
-from repro.serving.analytics import merge_rollups
 from repro.serving.autoscale import AutoBalancer
 from repro.serving.executors import validate_placement
-from repro.serving.gateway import StreamGateway
+from repro.serving.gateway import StreamGateway, merge_stats
 from repro.serving.net.client import GatewayClient, RemoteError
 from repro.serving.net.server import GatewayServer
 from repro.serving.sharded import ShardedGateway
@@ -405,21 +404,13 @@ class FederatedGateway:
         of failing on a dead client connection.
         """
         self._check_open()
-        per_host = [client.stats() for client in self._clients]
-        totals = {
-            key: sum(stats[key] for stats in per_host)
-            for key in (
-                "n_sessions", "n_queued", "n_flushes", "n_classified", "n_evicted"
-            )
-        }
-        totals["analytics"] = merge_rollups(
-            stats.get("analytics") for stats in per_host
+        return merge_stats(
+            [client.stats() for client in self._clients],
+            members="per_host",
+            count="hosts",
+            migrations=self.n_migrations,
+            scale_events=self.n_scale_events,
         )
-        totals["per_host"] = per_host
-        totals["hosts"] = self.hosts
-        totals["migrations"] = self.n_migrations
-        totals["scale_events"] = self.n_scale_events
-        return totals
 
     # -- lifecycle -------------------------------------------------------
 

@@ -70,16 +70,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.dsp.streaming import NodeSnapshot, StreamBeatEvent, StreamingNode
-from repro.serving.analytics import AnalyticsPipeline, empty_rollup
+from repro.serving.analytics import AnalyticsPipeline, empty_rollup, merge_rollups
 from repro.serving.executors import validate_at_least
 
 __all__ = [
     "BeatBatch",
     "GatewayGroup",
+    "LOAD_COUNTERS",
     "SessionExport",
     "StreamGateway",
+    "merge_stats",
     "serve_round_robin",
 ]
+
+#: The per-gateway load counters every tier's ``stats()`` reports and
+#: sums (the autoscaling policies' inputs).
+LOAD_COUNTERS = ("n_sessions", "n_queued", "n_flushes", "n_classified", "n_evicted")
 
 #: Initial row capacity of a :class:`BeatBatch` buffer.
 _BATCH_INITIAL_CAPACITY = 64
@@ -288,14 +294,6 @@ class GatewayGroup:
     def _unregister(self, gateway: "StreamGateway") -> None:
         if gateway in self.gateways:
             self.gateways.remove(gateway)
-
-    def find_session(self, session_id: str):
-        """The owning member's session record, or ``None``."""
-        for gateway in self.gateways:
-            session = gateway._sessions.get(session_id)
-            if session is not None:
-                return session
-        return None
 
     def flush(self) -> int:
         """Flush the shared batch through one member (one ``predict``)."""
@@ -674,10 +672,6 @@ class StreamGateway:
         self._drain_analytics()
         return len(handles)
 
-    def _find_session(self, session_id: str) -> _Session | None:
-        """Resolve a flushed session id — ours, or a group peer's."""
-        return self._find_owner(session_id)[1]
-
     def _find_owner(self, session_id: str):
         """Resolve a flushed session id to ``(owner_gateway, session)``
         — ours, or a group peer's (``(None, None)`` when closed)."""
@@ -743,12 +737,7 @@ class StreamGateway:
         if closed:
             self._alert(session_id, closed)
         self._summaries[session_id] = pipeline.summary()
-        rollup = self._an_closed
-        rollup["sessions"] += 1
-        rollup["beats"] += pipeline.n_beats
-        rollup["episodes"] += pipeline.n_episodes
-        for kind, count in pipeline.episodes_by_kind.items():
-            rollup["by_kind"][kind] = rollup["by_kind"].get(kind, 0) + count
+        self._an_closed = merge_rollups([self._an_closed, pipeline.rollup()])
 
     def take_alerts(self) -> list:
         """Closed ``(session_id, Episode)`` alerts since the last take;
@@ -768,45 +757,30 @@ class StreamGateway:
         """JSON-able fleet-rollup block of ``stats()["analytics"]``:
         closed-session accumulator plus the live pipelines' folded
         state (sessions / beats / episodes / alerts / by_kind)."""
-        closed = self._an_closed
-        total = {
-            "sessions": closed["sessions"],
-            "beats": closed["beats"],
-            "episodes": closed["episodes"],
-            "alerts": self.n_alerts,
-            "by_kind": dict(closed["by_kind"]),
-        }
-        for session in self._sessions.values():
-            pipeline = session.analytics
-            if pipeline is None:
-                continue
-            total["sessions"] += 1
-            total["beats"] += pipeline.n_beats
-            total["episodes"] += pipeline.n_episodes
-            for kind, count in pipeline.episodes_by_kind.items():
-                total["by_kind"][kind] = total["by_kind"].get(kind, 0) + count
+        total = merge_rollups(
+            [self._an_closed]
+            + [
+                session.analytics.rollup()
+                for session in self._sessions.values()
+                if session.analytics is not None
+            ]
+        )
+        total["alerts"] = self.n_alerts
         return total
+
+    def worker_stats(self) -> dict:
+        """This gateway's load counters plus its analytics rollup: one
+        ``per_worker`` entry of the stats schema."""
+        stats = {key: getattr(self, key) for key in LOAD_COUNTERS}
+        stats["analytics"] = self.analytics_rollup()
+        return stats
 
     def stats(self) -> dict:
         """Schema-pinned stats dict, shaped like the sharded tier's
         (``workers == 1``) so every serving surface — the net server's
         STATS frame, the federation rollup, ``worker_loads`` — reads
         any gateway the same way."""
-        worker = {
-            "n_sessions": self.n_sessions,
-            "n_queued": self.n_queued,
-            "n_flushes": self.n_flushes,
-            "n_classified": self.n_classified,
-            "n_evicted": self.n_evicted,
-            "analytics": self.analytics_rollup(),
-        }
-        return {
-            **worker,
-            "per_worker": [worker],
-            "workers": 1,
-            "migrations": 0,
-            "scale_events": 0,
-        }
+        return merge_stats([self.worker_stats()])
 
     def export_session(self, session_id: str) -> SessionExport:
         """Capture a live session for migration; the session stays open.
@@ -943,6 +917,35 @@ class StreamGateway:
         batch = self._batch
         for handle, row in pending:
             batch.add(session_id, handle, row, tick, budget)
+
+
+def merge_stats(
+    parts,
+    *,
+    members: str = "per_worker",
+    count: str = "workers",
+    migrations: int = 0,
+    scale_events: int = 0,
+) -> dict:
+    """Build the schema-pinned ``stats()`` dict from member stats.
+
+    Sums the :data:`LOAD_COUNTERS` over ``parts`` (one
+    :meth:`StreamGateway.worker_stats` entry per worker, or one whole
+    ``stats()`` per host), merges their ``analytics`` blocks with
+    :func:`~repro.serving.analytics.merge_rollups`, and keeps the
+    members under ``members`` with their number under ``count``.
+    ``migrations`` / ``scale_events`` are the caller's own
+    pool-reshaping counters.  The totals are always exactly the column
+    sums of the listed members.
+    """
+    parts = list(parts)
+    totals = {key: sum(part[key] for part in parts) for key in LOAD_COUNTERS}
+    totals["analytics"] = merge_rollups(part.get("analytics") for part in parts)
+    totals[members] = parts
+    totals[count] = len(parts)
+    totals["migrations"] = migrations
+    totals["scale_events"] = scale_events
+    return totals
 
 
 def serve_round_robin(

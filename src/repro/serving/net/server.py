@@ -57,7 +57,6 @@ import socket
 import threading
 from dataclasses import dataclass, field, replace
 
-from repro.serving.analytics import empty_rollup
 from repro.serving.net import protocol as wire
 
 __all__ = ["GatewayServer", "ServerHandle", "serve_in_thread"]
@@ -526,34 +525,9 @@ class GatewayServer:
         )
 
     async def _on_stats(self, conn: _Connection) -> None:
-        """Reply with the gateway's statistics snapshot as ``STATS_OK``.
-
-        Sharded gateways answer their own schema-pinned ``stats()``;
-        for a plain :class:`~repro.serving.gateway.StreamGateway` host
-        a compatible single-worker rollup is synthesized so federation
-        callers read one shape either way.
-        """
-        stats_fn = getattr(self.gateway, "stats", None)
-        if stats_fn is not None:
-            stats = stats_fn()
-        else:
-            g = self.gateway
-            rollup_fn = getattr(g, "analytics_rollup", None)
-            worker = {
-                "n_sessions": g.n_sessions,
-                "n_queued": g.n_queued,
-                "n_flushes": g.n_flushes,
-                "n_classified": g.n_classified,
-                "n_evicted": g.n_evicted,
-                "analytics": (
-                    rollup_fn() if rollup_fn is not None else empty_rollup()
-                ),
-            }
-            stats = dict(worker)
-            stats["per_worker"] = [worker]
-            stats["workers"] = 1
-            stats["migrations"] = 0
-            stats["scale_events"] = 0
+        """Reply with the gateway's schema-pinned ``stats()`` snapshot
+        as ``STATS_OK`` (every gateway tier answers the same shape)."""
+        stats = self.gateway.stats()
         await conn.send_burst([self._frame(wire.encode_stats_ok(stats))])
 
     def _adopt(self, conn: _Connection, session_id: str, state: _NetSession) -> None:

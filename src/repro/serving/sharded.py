@@ -58,16 +58,18 @@ back with the next response from that worker and reach the parent's
 Durability: with a ``journal``
 (:class:`repro.serving.durability.SessionJournal`) attached, every
 accepted chunk is journaled *before* it is shipped, snapshots refresh
-on the journal's cadence, and ownership moves carry the journal.  A
-dead worker (``kill -9``, broken pipe) surfaces as
-:class:`WorkerCrashError`;
-:class:`~repro.serving.durability.SupervisedGateway` catches it,
-respawns the worker in place (:meth:`ShardedGateway.respawn_worker`)
-and replays snapshot+log to recover its sessions bit-exactly.
+on the journal's cadence, ownership moves carry the journal — and the
+pool heals itself.  A dead worker (``kill -9``, OOM, broken pipe)
+surfaces as :class:`WorkerCrashError` under a call; the pool respawns
+it in place (:meth:`ShardedGateway.respawn_worker`), replays
+snapshot+log to rebuild every session it owned bit-exactly, and
+retries the call, so callers never see the crash.  Without a journal
+there is nothing to rebuild from and the error propagates.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import threading
 import zlib
@@ -84,10 +86,14 @@ from repro.serving.executors import (
     validate_worker_mode,
     validate_workers,
 )
-from repro.serving.analytics import merge_rollups
-from repro.serving.gateway import GatewayGroup, SessionExport, StreamGateway
+from repro.serving.gateway import GatewayGroup, SessionExport, StreamGateway, merge_stats
 
-__all__ = ["SessionInbox", "ShardedGateway", "WorkerCrashError"]
+__all__ = ["MAX_RECOVER_ATTEMPTS", "SessionInbox", "ShardedGateway", "WorkerCrashError"]
+
+#: Crash-recovery rounds one call of a journaled pool may consume
+#: before the :class:`WorkerCrashError` propagates (workers dying
+#: faster than they can be respawned).
+MAX_RECOVER_ATTEMPTS = 8
 
 
 class WorkerCrashError(RuntimeError):
@@ -98,10 +104,10 @@ class WorkerCrashError(RuntimeError):
     ``worker`` is the pool index of the dead worker.  ``session_id`` /
     ``chunk_journaled`` are set by ``ingest`` when the crash happened
     *after* the chunk was journaled: the chunk is durable and recovery
-    will replay it, so the supervisor must **not** re-send it (that
-    would double-apply) — it retries as a drain instead.  Sessions the
-    dead worker owned are lost unless a journal +
-    :class:`~repro.serving.durability.SupervisedGateway` recovers them.
+    will replay it, so the retry must **not** re-send it (that would
+    double-apply) — it drains the session instead.  A journaled pool
+    handles this error itself; without a journal it reaches the caller
+    and the dead worker's sessions are lost.
     """
 
     def __init__(
@@ -274,14 +280,7 @@ class _WorkerState:
             elif op == "flush":
                 value = gateway.flush_batch()
             elif op == "stats":
-                value = {
-                    "n_sessions": gateway.n_sessions,
-                    "n_queued": gateway.n_queued,
-                    "n_flushes": gateway.n_flushes,
-                    "n_classified": gateway.n_classified,
-                    "n_evicted": gateway.n_evicted,
-                    "analytics": gateway.analytics_rollup(),
-                }
+                value = gateway.worker_stats()
             else:
                 raise ValueError(f"unknown worker op {op!r}")
             payload = ("ok", value)
@@ -361,6 +360,29 @@ class _InlineProcess:
         pass
 
 
+def _self_healing(method):
+    """Guard one public call of a journaled pool: a
+    :class:`WorkerCrashError` under it runs a recovery round
+    (:meth:`ShardedGateway._recover_from`) and retries the call.
+
+    Without a journal the call runs bare, so the error propagates.
+    Calls nested inside a guarded call (hooks, the drain retry) run
+    bare too: the outermost guard owns the retry.
+    """
+
+    @functools.wraps(method)
+    def guarded(self, *args, **kwargs):
+        if self.journal is None or self._in_guard:
+            return method(self, *args, **kwargs)
+        self._in_guard = True
+        try:
+            return self._retry_after_recovery(method, args, kwargs)
+        finally:
+            self._in_guard = False
+
+    return guarded
+
+
 class ShardedGateway:
     """A pool of worker processes, each running a :class:`StreamGateway`.
 
@@ -423,9 +445,10 @@ class ShardedGateway:
         When set, accepted chunks are write-ahead journaled, snapshots
         refresh on the journal's cadence, migrations carry the
         journal, and closed/evicted/released sessions drop their
-        entries — everything
-        :class:`~repro.serving.durability.SupervisedGateway` needs to
-        recover a crashed worker's sessions bit-exactly.
+        entries — and the pool supervises itself: a call that hits a
+        dead worker respawns it, rebuilds its sessions bit-exactly
+        from the journal and is retried (see :meth:`check_workers`),
+        and ``stats()`` adds the recovery counters.
 
     Use as a context manager (or call :meth:`shutdown`) so the worker
     processes are reaped.
@@ -476,6 +499,7 @@ class ShardedGateway:
         self.on_evict = on_evict
         self.on_alert = on_alert
         self.journal = journal
+        self._in_guard = False
         gateway_kwargs = dict(
             max_batch=max_batch,
             max_latency_ticks=max_latency_ticks,
@@ -511,6 +535,9 @@ class ShardedGateway:
         self.n_migrations = 0
         self.n_scale_events = 0
         self.n_respawns = 0
+        self.n_recoveries = 0
+        self.n_sessions_recovered = 0
+        self.n_evictions_salvaged = 0
         self.n_alerts = 0
         self._closed = False
 
@@ -541,7 +568,7 @@ class ShardedGateway:
 
         The crashed worker's sessions are *not* restored here — the
         new process starts empty; session recovery (snapshot + replay)
-        is :class:`~repro.serving.durability.SupervisedGateway`'s job.
+        is the journaled pool's recovery round (:meth:`check_workers`).
         The caller must already have dropped the parent-side state of
         the sessions the dead worker owned.
         """
@@ -613,6 +640,7 @@ class ShardedGateway:
         counts = self.session_counts()  # least-loaded, ties -> lowest index
         return min(candidates, key=lambda i: (counts[i], i))
 
+    @_self_healing
     def open_session(
         self,
         session_id: str,
@@ -643,6 +671,7 @@ class ShardedGateway:
         if self.journal is not None:
             self.journal.open(session_id, qos)
 
+    @_self_healing
     def ingest(self, session_id: str, chunk: np.ndarray) -> list:
         """Ship one chunk to the owning worker; return resolved events.
 
@@ -673,8 +702,8 @@ class ShardedGateway:
             # Write-ahead: the chunk is durable before it is shipped,
             # so the caller's acknowledged prefix survives any crash
             # from here on.  A crash past this point is therefore
-            # marked chunk_journaled — the supervisor must not re-send
-            # the chunk (recovery replays it; re-sending would
+            # marked chunk_journaled — the recovery retry must not
+            # re-send the chunk (recovery replays it; re-sending would
             # double-apply), it retries the call as a drain.
             self.journal.log_chunk(session_id, arr)
             try:
@@ -687,6 +716,7 @@ class ShardedGateway:
                 raise
         return self._take_events(session_id)
 
+    @_self_healing
     def poll(self, session_id: str) -> list:
         """Drain the session's queued events without ingesting samples.
 
@@ -698,6 +728,7 @@ class ShardedGateway:
         value = self._request(index, ("poll", session_id))
         return self._take_events(session_id, value)
 
+    @_self_healing
     def close_session(self, session_id: str) -> list:
         """End a session; wait for and return the rest of its events."""
         index = self._owner_or_raise(session_id)
@@ -711,6 +742,7 @@ class ShardedGateway:
             self.journal.forget(session_id)
         return events
 
+    @_self_healing
     def export_session(self, session_id: str) -> SessionExport:
         """Capture a live session for migration; it stays open here.
 
@@ -729,6 +761,7 @@ class ShardedGateway:
             self.journal.delivered(session_id, len(export.events))
         return export
 
+    @_self_healing
     def release_session(self, session_id: str) -> SessionExport:
         """Capture a live session for migration and remove it here."""
         index = self._owner_or_raise(session_id)
@@ -739,6 +772,7 @@ class ShardedGateway:
             self.journal.forget(session_id)
         return export
 
+    @_self_healing
     def import_session(self, export: SessionExport, session_id: str | None = None) -> str:
         """Resume an exported session on its policy-placed worker."""
         session_id = export.session_id if session_id is None else session_id
@@ -751,6 +785,7 @@ class ShardedGateway:
             self.journal.snapshot(session_id, export)
         return session_id
 
+    @_self_healing
     def migrate_session(self, session_id: str, worker: int) -> None:
         """Move a live session to another worker, mid-stream.
 
@@ -788,6 +823,7 @@ class ShardedGateway:
 
     # -- elastic pool ----------------------------------------------------
 
+    @_self_healing
     def add_worker(self) -> int:
         """Grow the pool by one worker process; return its index.
 
@@ -802,6 +838,7 @@ class ShardedGateway:
         self.n_scale_events += 1
         return self.workers - 1
 
+    @_self_healing
     def retire_worker(self, worker: int) -> int:
         """Shrink the pool: drain one worker's sessions and reap it.
 
@@ -867,6 +904,7 @@ class ShardedGateway:
             proc.terminate()
             proc.join(timeout=1.0)
 
+    @_self_healing
     def flush(self) -> int:
         """Force one batched classifier pass on every worker."""
         return sum(self._request(i, ("flush", None)) for i in range(self.workers))
@@ -879,6 +917,7 @@ class ShardedGateway:
             return 0 if inbox is None else inbox.n_dropped
         return sum(inbox.n_dropped for inbox in self._inboxes.values())
 
+    @_self_healing
     def take_evicted(self) -> dict[str, list]:
         """Final event sequences of evicted sessions; clears the store."""
         self._drain(block=False)
@@ -886,6 +925,7 @@ class ShardedGateway:
         self._evicted = {}
         return evicted
 
+    @_self_healing
     def take_alerts(self) -> list:
         """Closed ``(session_id, Episode)`` analytics alerts, fleet-wide;
         clears the queue."""
@@ -894,6 +934,7 @@ class ShardedGateway:
         self._alerts = []
         return alerts
 
+    @_self_healing
     def take_summaries(self) -> dict[str, dict]:
         """Final analytics summaries of closed/evicted sessions,
         fleet-wide; clears the store."""
@@ -902,6 +943,7 @@ class ShardedGateway:
         self._summaries = {}
         return summaries
 
+    @_self_healing
     def stats(self) -> dict:
         """Aggregate + per-worker gateway statistics (synchronizes).
 
@@ -912,7 +954,9 @@ class ShardedGateway:
         top level adds their sums, the current ``workers`` count and
         the parent-side ``migrations`` / ``scale_events`` counters.
         The schema is pinned by a regression test so policy inputs
-        cannot silently drift.
+        cannot silently drift.  A journaled pool adds its recovery
+        counters: ``recoveries`` (rounds run), ``sessions_recovered``,
+        ``respawns`` and ``evictions_salvaged``.
 
         Semantics are *current pool*: a retired worker's flush /
         classification counters leave with it (its sessions — and
@@ -920,19 +964,207 @@ class ShardedGateway:
         did is not re-attributed).  The totals are therefore always
         exactly the sum over the live ``per_worker`` entries.
         """
-        per_worker = [self._request(i, ("stats", None)) for i in range(self.workers)]
-        totals = {
-            key: sum(stats[key] for stats in per_worker)
-            for key in ("n_sessions", "n_queued", "n_flushes", "n_classified", "n_evicted")
-        }
-        totals["analytics"] = merge_rollups(
-            stats.get("analytics") for stats in per_worker
+        totals = merge_stats(
+            [self._request(i, ("stats", None)) for i in range(self.workers)],
+            migrations=self.n_migrations,
+            scale_events=self.n_scale_events,
         )
-        totals["per_worker"] = per_worker
-        totals["workers"] = self.workers
-        totals["migrations"] = self.n_migrations
-        totals["scale_events"] = self.n_scale_events
+        if self.journal is not None:
+            totals["recoveries"] = self.n_recoveries
+            totals["sessions_recovered"] = self.n_sessions_recovered
+            totals["respawns"] = self.n_respawns
+            totals["evictions_salvaged"] = self.n_evictions_salvaged
         return totals
+
+    # -- crash recovery (journaled pools) --------------------------------
+
+    def check_workers(self) -> int:
+        """Proactive recovery sweep; returns the sessions recovered.
+
+        Runs the same round a crashed call triggers, without waiting
+        for a call to hit the dead worker (a supervisor loop's
+        heartbeat).  One round:
+
+        1. every worker whose process is no longer alive is respawned
+           **in place** — same index, fresh empty process;
+        2. every session the dead workers owned (plus any journaled
+           session no worker owns — a move interrupted mid-import, or
+           a session persisted by a previous process) is rebuilt:
+           import its last snapshot (or re-open), replay the logged
+           chunks, force a flush, and keep every replayed event past
+           the journal's ``delivered`` count as the session's owed
+           backlog.  Chunk-invariance makes the rebuilt stream
+           bit-exact.
+
+        Recovery reads the journal but never writes it, so a second
+        crash mid-recovery restarts it from the same durable state.
+        On a journal that survived a full process restart this
+        rebuilds every journaled session from it.
+        """
+        if self.journal is None:
+            raise RuntimeError("check_workers needs a journal to recover from")
+        attempts = 0
+        while True:
+            try:
+                return self._recover_from(None)
+            except WorkerCrashError:
+                attempts += 1
+                if attempts > MAX_RECOVER_ATTEMPTS:
+                    raise
+
+    def _retry_after_recovery(self, method, args, kwargs):
+        """Run one guarded call, recovering and retrying on a crash."""
+        attempts = 0
+        while True:
+            try:
+                return method(self, *args, **kwargs)
+            except WorkerCrashError as crash:
+                attempts += 1
+                if attempts > MAX_RECOVER_ATTEMPTS:
+                    raise
+                if crash.chunk_journaled and crash.session_id is not None:
+                    # The chunk is durable and recovery replays it —
+                    # re-sending would double-apply.  The retry only
+                    # drains the session's events.
+                    method, args, kwargs = (
+                        ShardedGateway._drain_session, (crash.session_id,), {},
+                    )
+                try:
+                    self._recover_from(crash)
+                except WorkerCrashError:
+                    # Another worker died mid-recovery.  The journal is
+                    # untouched; the retried call crashes again and
+                    # re-enters recovery with a fresh liveness scan.
+                    pass
+
+    def _drain_session(self, session_id: str) -> list:
+        if session_id not in self._owner:
+            self._recover_from(None)  # finish an interrupted recovery
+        return self.poll(session_id)
+
+    def _recover_from(self, crash: WorkerCrashError | None) -> int:
+        """One recovery round: respawn every dead worker, rebuild every
+        lost session.  Returns the number of sessions recovered."""
+        dead = set()
+        if crash is not None:
+            dead.add(crash.worker)
+        for index, proc in enumerate(self._procs):
+            if getattr(proc, "pid", None) is not None and not proc.is_alive():
+                dead.add(index)
+        if dead and self._group is not None:
+            raise RuntimeError("cannot recover inline workers")
+        lost: list[tuple[str, object]] = []
+        for index in sorted(dead):
+            # Salvage first: a killed worker's already-written responses
+            # stay readable until its pipe drains.  Eviction notices in
+            # there carry final event sequences the worker-side gateway
+            # has already drained — without this pass they die with the
+            # connection (respawn_worker closes it unread) and the
+            # journal would resurrect the evicted session as live.
+            self.n_evictions_salvaged += self._salvage_responses(index)
+            for session_id in self.sessions_on(index):
+                # Parent-side state of the dead worker's sessions is
+                # stale: undelivered buffered events regenerate on
+                # replay, the inbox restarts empty (its audit carries).
+                lost.append((session_id, self._inboxes.get(session_id)))
+                self._unregister(session_id)
+            self.respawn_worker(index)
+        known = {session_id for session_id, _ in lost}
+        for session_id in self.journal.session_ids():
+            if session_id not in self._owner and session_id not in known:
+                # Journaled but owned by nobody: a migration the crash
+                # interrupted between release and import, or a session
+                # persisted by a previous process (full restart).
+                lost.append((session_id, None))
+        recovered = 0
+        for session_id, old_inbox in lost:
+            recovered += self._recover_session(session_id, old_inbox)
+        if dead or recovered:
+            self.n_recoveries += 1
+            self.n_sessions_recovered += recovered
+        return recovered
+
+    def _salvage_responses(self, index: int) -> int:
+        """Drain whatever a dead worker managed to write before dying.
+
+        Eviction notices are delivered for real (``take_evicted()`` /
+        ``on_evict``, journal entry dropped so recovery does not
+        resurrect a session the worker already closed) and analytics
+        alerts / final summaries are folded in.  Pipelined ingest
+        payloads route into the normal parent buffers: a session this
+        same salvage batch *evicts* needs them merged ahead of the
+        eviction notice's tail, while a session that gets *recovered*
+        has its copy scrubbed and regenerated by replay (the journal's
+        delivered counter only covers events the caller actually
+        took).  Returns the number of evicted sessions whose final
+        sequences were saved.  Tolerant of a pipe that breaks mid-read
+        (the crash can truncate anything).
+        """
+        conn = self._conns[index]
+        salvaged = 0
+        while True:
+            try:
+                if not conn.poll():
+                    break
+                response = conn.recv()
+            except (EOFError, BrokenPipeError, OSError):
+                break
+            try:
+                op, session_id, (status, value), evictions, aux = response
+            except (TypeError, ValueError, IndexError):
+                continue  # pragma: no cover - truncated frame
+            salvaged += sum(1 for sid, _ in evictions if sid in self._owner)
+            self._note_evictions(evictions)
+            self._note_aux(aux)
+            if op == "ingest" and status == "ok":
+                if session_id in self._owner:
+                    self._events.setdefault(session_id, []).extend(value)
+                elif session_id in self._evicted:
+                    self._evicted[session_id].extend(value)
+        return salvaged
+
+    def _recover_session(self, session_id: str, old_inbox=None) -> bool:
+        """Rebuild one session from its journal: snapshot import (or
+        re-open), chunk replay, forced flush.  Replayed events past the
+        journal's delivered count become the session's owed backlog.
+        Never writes the journal — idempotent under repeated crashes."""
+        rec = self.journal.recover(session_id)
+        if rec is None:
+            return False
+        # Scrub any stale half-recovered copy a previously interrupted
+        # recovery left behind (placement may pick a different target
+        # this round).
+        for index in range(self.workers):
+            try:
+                self._request(index, ("release", session_id))
+            except KeyError:
+                pass
+        target = self._place(session_id)
+        if rec.export is not None:
+            self._request(target, ("import", session_id, rec.export))
+        else:
+            self._request(target, ("open", session_id, rec.open_kwargs or {}))
+        replayed: list = []
+        for chunk in rec.chunks:
+            replayed.extend(self._request(target, ("ingest", session_id, chunk)))
+        # The original flushes rode other sessions' shared-clock ticks;
+        # a solo replay must force the tail out (flush boundaries never
+        # change event content — the pinned invariance).
+        self._request(target, ("flush", None))
+        replayed.extend(self._request(target, ("poll", session_id)))
+        if len(replayed) < rec.delivered:  # pragma: no cover - guard
+            raise RuntimeError(
+                f"journal replay of session {session_id!r} produced "
+                f"{len(replayed)} events, fewer than the {rec.delivered} "
+                "already delivered — journal accounting is broken"
+            )
+        self._register(session_id, target)
+        if old_inbox is not None and session_id in self._inboxes:
+            self._inboxes[session_id].carry_audit(old_inbox)
+        residue = replayed[rec.delivered :]
+        if residue:
+            self._events[session_id] = residue
+        return True
 
     # -- lifecycle -------------------------------------------------------
 

@@ -2,17 +2,21 @@
 
 The gateway tier's single contract — per-session event sequences
 bit-exact with a standalone inline-mode ``StreamingNode`` — is asserted
-the same way everywhere, so the comparison helpers live here.
+the same way everywhere, so the comparison helpers live here, next to
+the chaos suites' shared schedule ingredients (synthetic records,
+random chunking, worker SIGKILL).
 """
 
 from __future__ import annotations
 
 import os
+import signal
 
 import numpy as np
 import pytest
 
 from repro.dsp.streaming import StreamingNode
+from repro.ecg.synth import RecordSynthesizer, SynthesisConfig
 
 
 def pytest_generate_tests(metafunc):
@@ -73,3 +77,48 @@ def assert_events_equal():
 @pytest.fixture(scope="session")
 def standalone_events():
     return _standalone_events
+
+
+def _synth_records(seeds, duration, prefix):
+    """One single-lead N/V/L record per seed, named ``<prefix>-<seed>``."""
+    return [
+        RecordSynthesizer(SynthesisConfig(n_leads=1), seed=s).synthesize(
+            duration, class_mix={"N": 0.55, "V": 0.3, "L": 0.15}, name=f"{prefix}-{s}"
+        )
+        for s in seeds
+    ]
+
+
+def _chunk_queue(record, rng, min_len):
+    """Split a record into random ``min_len``..700-sample ingest chunks."""
+    chunks, i = [], 0
+    while i < record.n_samples:
+        n = int(rng.integers(min_len, 700))
+        chunks.append(record.signal[i : i + n])
+        i += n
+    return chunks
+
+
+def _sigkill(gateway, index) -> bool:
+    """SIGKILL one process worker of a pool; ``False`` if already dead."""
+    proc = gateway._procs[index]
+    if not proc.is_alive():  # already dead from an earlier kill
+        return False
+    os.kill(proc.pid, signal.SIGKILL)
+    proc.join(5.0)
+    return True
+
+
+@pytest.fixture(scope="session")
+def synth_records():
+    return _synth_records
+
+
+@pytest.fixture(scope="session")
+def chunk_queue():
+    return _chunk_queue
+
+
+@pytest.fixture(scope="session")
+def sigkill():
+    return _sigkill

@@ -14,14 +14,11 @@ Failures replay deterministically; set ``REPRO_CHAOS_SEED=<int>`` to
 override the seed sets (see ``conftest.pytest_generate_tests``).
 """
 
-import os
 import pickle
-import signal
 
 import numpy as np
 import pytest
 
-from repro.ecg.synth import RecordSynthesizer, SynthesisConfig
 from repro.serving import (
     AnalyticsPipeline,
     FileJournalStore,
@@ -33,27 +30,13 @@ from repro.serving import (
 )
 
 N_LEADS = 1
+MIN_CHUNK = 16  # shortest random ingest chunk, samples
 FS = 360.0
 
 
 @pytest.fixture(scope="module")
-def records():
-    return [
-        RecordSynthesizer(SynthesisConfig(n_leads=N_LEADS), seed=s).synthesize(
-            10.0, class_mix={"N": 0.55, "V": 0.3, "L": 0.15}, name=f"anchaos-{s}"
-        )
-        for s in (401, 402, 403)
-    ]
-
-
-def chunk_queue(record, rng):
-    """Split a record into random 16..700-sample ingest chunks."""
-    chunks, i = [], 0
-    while i < record.n_samples:
-        n = int(rng.integers(16, 700))
-        chunks.append(record.signal[i : i + n])
-        i += n
-    return chunks
+def records(synth_records):
+    return synth_records((401, 402, 403), 10.0, "anchaos")
 
 
 def episode_set(episodes):
@@ -72,7 +55,8 @@ def reference(classifier, record, standalone_events, upto=None):
 class TestChunkInvarianceChaos:
     @pytest.mark.chaos_seeds(0, 1, 2)
     def test_random_schedule_summaries_match_standalone(
-        self, chaos_seed, records, embedded_classifier, standalone_events
+        self, chaos_seed, records, embedded_classifier, standalone_events,
+        chunk_queue,
     ):
         rng = np.random.default_rng(4100 + chaos_seed)
         gateway = StreamGateway(
@@ -84,7 +68,7 @@ class TestChunkInvarianceChaos:
         sessions = {}
         for i, record in enumerate(records):
             sessions[f"s{i}"] = dict(
-                record=record, chunks=chunk_queue(record, rng), fed=0
+                record=record, chunks=chunk_queue(record, rng, MIN_CHUNK), fed=0
             )
             gateway.open_session(f"s{i}")
         summaries, alerts = {}, []
@@ -118,7 +102,8 @@ class TestChunkInvarianceChaos:
 class TestMigrationChaos:
     @pytest.mark.chaos_seeds(0, 1)
     def test_migration_mid_episode_is_bit_exact(
-        self, chaos_seed, records, embedded_classifier, standalone_events
+        self, chaos_seed, records, embedded_classifier, standalone_events,
+        chunk_queue,
     ):
         """Pipelines ride SessionExport through release/import (and a
         pickle round-trip) mid-stream — mid-episode included — with no
@@ -137,7 +122,7 @@ class TestMigrationChaos:
         for i, record in enumerate(records):
             home = int(rng.integers(0, 2))
             sessions[f"s{i}"] = dict(
-                record=record, chunks=chunk_queue(record, rng), home=home
+                record=record, chunks=chunk_queue(record, rng, MIN_CHUNK), home=home
             )
             gateways[home].open_session(f"s{i}")
         summaries, alerts, n_migrations = {}, [], 0
@@ -172,7 +157,8 @@ class TestMigrationChaos:
 
     @pytest.mark.chaos_seeds(0)
     def test_sharded_worker_migration_is_bit_exact(
-        self, chaos_seed, records, embedded_classifier, standalone_events
+        self, chaos_seed, records, embedded_classifier, standalone_events,
+        chunk_queue,
     ):
         rng = np.random.default_rng(4300 + chaos_seed)
         with ShardedGateway(
@@ -183,7 +169,7 @@ class TestMigrationChaos:
             sessions = {}
             for i, record in enumerate(records):
                 sessions[f"s{i}"] = dict(
-                    record=record, chunks=chunk_queue(record, rng)
+                    record=record, chunks=chunk_queue(record, rng, MIN_CHUNK)
                 )
                 gateway.open_session(f"s{i}")
             while sessions:
@@ -211,7 +197,8 @@ class TestMigrationChaos:
 class TestEvictionChaos:
     @pytest.mark.chaos_seeds(0, 1)
     def test_evicted_session_summary_covers_ingested_prefix(
-        self, chaos_seed, records, embedded_classifier, standalone_events
+        self, chaos_seed, records, embedded_classifier, standalone_events,
+        chunk_queue,
     ):
         rng = np.random.default_rng(4400 + chaos_seed)
         gateway = StreamGateway(
@@ -222,7 +209,7 @@ class TestEvictionChaos:
         threshold = int(rng.integers(2, 6))
         gateway.open_session("stale", evict_after_ticks=threshold)
         gateway.open_session("busy")
-        stale_chunks = chunk_queue(records[0], rng)
+        stale_chunks = chunk_queue(records[0], rng, MIN_CHUNK)
         fed = 0
         for chunk in stale_chunks[: int(rng.integers(1, len(stale_chunks)))]:
             gateway.ingest("stale", chunk)
@@ -244,7 +231,7 @@ class TestKillChaos:
     @pytest.mark.chaos_seeds(0, 1)
     def test_summaries_survive_worker_kills_bit_exactly(
         self, chaos_seed, records, embedded_classifier, standalone_events,
-        tmp_path,
+        tmp_path, chunk_queue, sigkill,
     ):
         """Analytics state is journal-recovered: a SIGKILL-ed worker's
         sessions replay snapshot+log, rebuilding each pipeline to the
@@ -266,7 +253,7 @@ class TestKillChaos:
             sessions = {}
             for i, record in enumerate(records):
                 sessions[f"s{i}"] = dict(
-                    record=record, chunks=chunk_queue(record, rng)
+                    record=record, chunks=chunk_queue(record, rng, MIN_CHUNK)
                 )
                 gateway.open_session(f"s{i}")
             total_chunks = sum(len(s["chunks"]) for s in sessions.values())
@@ -276,11 +263,7 @@ class TestKillChaos:
                 if ingested == forced_kill_at:
                     ingested += 1  # fire exactly once
                     victim = gateway.worker_of(sorted(sessions)[0])
-                    proc = gateway.gateway._procs[victim]
-                    if proc.is_alive():
-                        os.kill(proc.pid, signal.SIGKILL)
-                        proc.join(5.0)
-                        n_kills += 1
+                    n_kills += sigkill(gateway, victim)
                 sid = str(rng.choice(sorted(sessions)))
                 state = sessions[sid]
                 roll = rng.random()

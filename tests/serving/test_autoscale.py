@@ -21,6 +21,8 @@ from repro.serving import (
     AutoBalancer,
     Autoscaler,
     ShardedGateway,
+    StreamGateway,
+    default_pipeline,
     serve_autoscaled,
     worker_loads,
 )
@@ -447,6 +449,36 @@ class TestStatsSchema:
     TOTALS = ("n_sessions", "n_queued", "n_flushes", "n_classified", "n_evicted")
     ANALYTICS = ("sessions", "beats", "episodes", "alerts", "by_kind")
 
+    def assert_schema(self, stats):
+        """Key, type and column-sum checks every tier's stats() meets."""
+        expected = set(self.TOTALS) | {
+            "analytics", "per_worker", "workers", "migrations", "scale_events"
+        }
+        assert set(stats) == expected
+        assert isinstance(stats["per_worker"], list)
+        assert len(stats["per_worker"]) == stats["workers"]
+        for key in ("workers", "migrations", "scale_events", *self.TOTALS):
+            assert isinstance(stats[key], int), key
+            assert stats[key] >= 0, key
+        for block in [stats["analytics"]] + [
+            w["analytics"] for w in stats["per_worker"]
+        ]:
+            assert set(block) == set(self.ANALYTICS)
+            for key in ("sessions", "beats", "episodes", "alerts"):
+                assert isinstance(block[key], int), key
+                assert block[key] >= 0, key
+            assert isinstance(block["by_kind"], dict)
+        for worker_stats in stats["per_worker"]:
+            assert set(worker_stats) == set(self.TOTALS) | {"analytics"}
+            for key, value in worker_stats.items():
+                if key == "analytics":
+                    continue
+                assert isinstance(value, int), key
+                assert value >= 0, key
+        # Sum-over-workers consistency: every total is its column sum.
+        for key in self.TOTALS:
+            assert stats[key] == sum(w[key] for w in stats["per_worker"]), key
+
     def test_schema_keys_types_and_consistency(self, record, embedded_classifier):
         fs = record.fs
         with ShardedGateway(
@@ -460,34 +492,8 @@ class TestStatsSchema:
             gateway.add_worker()
             stats = gateway.stats()
 
-            expected = set(self.TOTALS) | {
-                "analytics", "per_worker", "workers", "migrations", "scale_events"
-            }
-            assert set(stats) == expected
+            self.assert_schema(stats)
             assert stats["workers"] == gateway.workers == 4
-            assert isinstance(stats["per_worker"], list)
-            assert len(stats["per_worker"]) == stats["workers"]
-            for key in ("workers", "migrations", "scale_events", *self.TOTALS):
-                assert isinstance(stats[key], int), key
-                assert stats[key] >= 0, key
-            for block in [stats["analytics"]] + [
-                w["analytics"] for w in stats["per_worker"]
-            ]:
-                assert set(block) == set(self.ANALYTICS)
-                for key in ("sessions", "beats", "episodes", "alerts"):
-                    assert isinstance(block[key], int), key
-                    assert block[key] >= 0, key
-                assert isinstance(block["by_kind"], dict)
-            for worker_stats in stats["per_worker"]:
-                assert set(worker_stats) == set(self.TOTALS) | {"analytics"}
-                for key, value in worker_stats.items():
-                    if key == "analytics":
-                        continue
-                    assert isinstance(value, int), key
-                    assert value >= 0, key
-            # Sum-over-workers consistency: every total is its column sum.
-            for key in self.TOTALS:
-                assert stats[key] == sum(w[key] for w in stats["per_worker"]), key
             assert stats["n_sessions"] == gateway.n_sessions == 4
             assert stats["migrations"] == gateway.n_migrations == 1
             assert stats["scale_events"] == gateway.n_scale_events == 1
@@ -496,3 +502,25 @@ class TestStatsSchema:
             ]
             for sid in gateway.session_ids():
                 gateway.close_session(sid)
+
+    def test_stream_gateway_has_the_one_worker_shape(
+        self, record, embedded_classifier,
+    ):
+        fs = record.fs
+        gateway = StreamGateway(
+            embedded_classifier, fs, n_leads=N_LEADS, max_batch=4,
+            analytics=default_pipeline,
+        )
+        for i in range(3):
+            gateway.open_session(f"s{i}")
+            gateway.ingest(f"s{i}", record.signal[: int(4.0 * fs)])
+        gateway.close_session("s0")  # closed sessions stay in the rollup
+        stats = gateway.stats()
+
+        self.assert_schema(stats)
+        assert stats["workers"] == 1
+        assert stats["n_sessions"] == gateway.n_sessions == 2
+        assert stats["migrations"] == stats["scale_events"] == 0
+        assert stats["analytics"]["sessions"] == 3
+        assert stats["analytics"]["beats"] > 0
+        assert stats["analytics"]["alerts"] == gateway.n_alerts

@@ -7,17 +7,18 @@ Three layers under test, bottom-up:
   persistence and torn-tail tolerance for the durable two;
 * :class:`SessionJournal` — the write-ahead policy: snapshot cadence,
   delivered-count accounting, recovery records;
-* :class:`SupervisedGateway` — deterministic ``kill -9`` of a worker
-  mid-stream, proactive ``check_workers`` sweeps, full-process restart
-  via :func:`recover_sessions`, always asserting the recovery
-  contract: per-session event sequences bit-exact with a standalone
+* the self-healing journaled :class:`ShardedGateway` (and
+  :class:`SupervisedGateway`, the same pool built from a journal spec)
+  — deterministic ``kill -9`` of a worker mid-stream, proactive
+  ``check_workers`` sweeps, full-process restart via
+  :func:`recover_sessions`, always asserting the recovery contract:
+  per-session event sequences bit-exact with a standalone
   ``StreamingNode`` (``test_durability_chaos.py`` stresses the same
   invariant under seeded random kill schedules).
 """
 
 import os
 import pickle
-import signal
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from repro.serving import (
     SqliteJournalStore,
     StreamGateway,
     SupervisedGateway,
+    WorkerCrashError,
     open_journal,
     recover_sessions,
 )
@@ -264,18 +266,12 @@ def feed(gateway, sid, signal, block, start=0, stop=None):
     return events
 
 
-def kill_worker(supervised, index):
-    proc = supervised.gateway._procs[index]
-    os.kill(proc.pid, signal.SIGKILL)
-    proc.join(5.0)
-
-
 class TestSupervisedRecovery:
     """Deterministic worker kills; the chaos suite randomizes them."""
 
     def test_kill_mid_stream_recovers_bit_exact(
         self, records, embedded_classifier, reference_events,
-        assert_events_equal, tmp_path,
+        assert_events_equal, tmp_path, sigkill,
     ):
         record = records[0]
         block = int(0.4 * FS)
@@ -288,7 +284,7 @@ class TestSupervisedRecovery:
             events = feed(
                 gateway, "p", record.signal, block, stop=record.n_samples // 2
             )
-            kill_worker(gateway, gateway.worker_of("p"))
+            sigkill(gateway, gateway.worker_of("p"))
             events += feed(
                 gateway, "p", record.signal, block, start=record.n_samples // 2
             )
@@ -301,22 +297,23 @@ class TestSupervisedRecovery:
 
     def test_recovery_without_snapshot_replays_from_open(
         self, records, embedded_classifier, reference_events,
-        assert_events_equal,
+        assert_events_equal, sigkill,
     ):
         """snapshot_every larger than the stream: recovery has no
         snapshot and must rebuild from open kwargs + full chunk log."""
         record = records[1]
         block = int(0.5 * FS)
         with SupervisedGateway(
-            embedded_classifier, FS, journal=MemoryJournalStore(),
-            snapshot_every=10_000, workers=2, n_leads=N_LEADS,
+            embedded_classifier, FS,
+            journal=SessionJournal(MemoryJournalStore(), snapshot_every=10_000),
+            workers=2, n_leads=N_LEADS,
         ) as gateway:
             gateway.open_session("p")
             events = feed(
                 gateway, "p", record.signal, block, stop=record.n_samples // 3
             )
             assert gateway.journal.recover("p").export is None
-            kill_worker(gateway, gateway.worker_of("p"))
+            sigkill(gateway, gateway.worker_of("p"))
             events += feed(
                 gateway, "p", record.signal, block, start=record.n_samples // 3
             )
@@ -325,25 +322,26 @@ class TestSupervisedRecovery:
 
     def test_check_workers_is_proactive(
         self, records, embedded_classifier, reference_events,
-        assert_events_equal,
+        assert_events_equal, sigkill,
     ):
         """A supervisor heartbeat heals the pool before any session
         call touches the dead worker."""
         record = records[0]
         block = int(0.5 * FS)
         with SupervisedGateway(
-            embedded_classifier, FS, journal=MemoryJournalStore(),
-            snapshot_every=3, workers=2, n_leads=N_LEADS,
+            embedded_classifier, FS,
+            journal=SessionJournal(MemoryJournalStore(), snapshot_every=3),
+            workers=2, n_leads=N_LEADS,
         ) as gateway:
             gateway.open_session("p")
             events = feed(
                 gateway, "p", record.signal, block, stop=record.n_samples // 2
             )
             victim = gateway.worker_of("p")
-            kill_worker(gateway, victim)
+            sigkill(gateway, victim)
             assert gateway.check_workers() == 1
-            assert not gateway.gateway._procs[victim] is None
-            assert gateway.gateway._procs[victim].is_alive()
+            assert not gateway._procs[victim] is None
+            assert gateway._procs[victim].is_alive()
             assert gateway.check_workers() == 0  # idempotent when healthy
             events += feed(
                 gateway, "p", record.signal, block, start=record.n_samples // 2
@@ -353,12 +351,13 @@ class TestSupervisedRecovery:
 
     def test_kill_both_workers_with_two_sessions(
         self, records, embedded_classifier, reference_events,
-        assert_events_equal,
+        assert_events_equal, sigkill,
     ):
         block = int(0.4 * FS)
         with SupervisedGateway(
-            embedded_classifier, FS, journal=MemoryJournalStore(),
-            snapshot_every=5, workers=2, n_leads=N_LEADS, max_batch=8,
+            embedded_classifier, FS,
+            journal=SessionJournal(MemoryJournalStore(), snapshot_every=5),
+            workers=2, n_leads=N_LEADS, max_batch=8,
         ) as gateway:
             collected = {}
             for i, record in enumerate(records):
@@ -368,7 +367,7 @@ class TestSupervisedRecovery:
                     stop=record.n_samples // 2,
                 )
             for index in range(2):
-                kill_worker(gateway, index)
+                sigkill(gateway, index)
             for i, record in enumerate(records):
                 collected[f"s{i}"] += feed(
                     gateway, f"s{i}", record.signal, block,
@@ -380,15 +379,16 @@ class TestSupervisedRecovery:
 
     def test_migration_carries_the_journal(
         self, records, embedded_classifier, reference_events,
-        assert_events_equal,
+        assert_events_equal, sigkill,
     ):
         """Moving a session between workers refreshes its snapshot, so
         killing the *new* owner still recovers bit-exactly."""
         record = records[0]
         block = int(0.4 * FS)
         with SupervisedGateway(
-            embedded_classifier, FS, journal=MemoryJournalStore(),
-            snapshot_every=10_000, workers=2, n_leads=N_LEADS,
+            embedded_classifier, FS,
+            journal=SessionJournal(MemoryJournalStore(), snapshot_every=10_000),
+            workers=2, n_leads=N_LEADS,
         ) as gateway:
             gateway.open_session("p")
             events = feed(
@@ -397,7 +397,7 @@ class TestSupervisedRecovery:
             origin = gateway.worker_of("p")
             gateway.migrate_session("p", 1 - origin)
             assert gateway.journal.recover("p").export is not None
-            kill_worker(gateway, 1 - origin)
+            sigkill(gateway, 1 - origin)
             events += feed(
                 gateway, "p", record.signal, block, start=record.n_samples // 2
             )
@@ -430,7 +430,7 @@ class TestSupervisedRecovery:
             workers=2, worker_mode="inline", n_leads=N_LEADS,
         ) as gateway:
             with pytest.raises(RuntimeError, match="inline"):
-                gateway.gateway.respawn_worker(0)
+                gateway.respawn_worker(0)
             assert gateway.check_workers() == 0  # nothing dead, no-op
 
     def test_stats_and_construction_variants(
@@ -446,11 +446,6 @@ class TestSupervisedRecovery:
             assert stats["sessions_recovered"] == 0
             assert stats["respawns"] == 0
             assert stats["workers"] == 2
-        with pytest.raises(ValueError, match="max_recover_attempts"):
-            SupervisedGateway(
-                embedded_classifier, FS, journal=MemoryJournalStore(),
-                max_recover_attempts=0,
-            )
 
     def test_private_attribute_access_stays_private(
         self, embedded_classifier,
@@ -461,6 +456,49 @@ class TestSupervisedRecovery:
         ) as gateway:
             with pytest.raises(AttributeError):
                 gateway._no_such_thing
+
+
+class TestSelfHealingPool:
+    """A plain ``ShardedGateway`` with a journal supervises itself."""
+
+    def test_journaled_pool_recovers_a_killed_worker(
+        self, records, embedded_classifier, standalone_events,
+        assert_events_equal, sigkill,
+    ):
+        record = records[0]
+        block = int(0.4 * FS)
+        half = record.n_samples // 2
+        journal = SessionJournal(MemoryJournalStore(), snapshot_every=4)
+        with ShardedGateway(
+            embedded_classifier, FS, journal=journal, workers=2,
+            n_leads=N_LEADS, max_batch=8,
+        ) as gateway:
+            gateway.open_session("p")
+            events = feed(gateway, "p", record.signal, block, stop=half)
+            sigkill(gateway, gateway.worker_of("p"))
+            events += feed(gateway, "p", record.signal, block, start=half)
+            events += gateway.close_session("p")
+            stats = gateway.stats()
+        assert_events_equal(
+            standalone_events(embedded_classifier, record, FS, N_LEADS), events
+        )
+        assert stats["respawns"] >= 1
+        assert stats["sessions_recovered"] >= 1
+
+    def test_unjournaled_pool_surfaces_the_crash(
+        self, records, embedded_classifier, sigkill,
+    ):
+        with ShardedGateway(
+            embedded_classifier, FS, workers=2, n_leads=N_LEADS,
+        ) as gateway:
+            assert "respawns" not in gateway.stats()
+            gateway.open_session("p")
+            feed(gateway, "p", records[0].signal, int(0.4 * FS), stop=int(2 * FS))
+            sigkill(gateway, gateway.worker_of("p"))
+            with pytest.raises(WorkerCrashError):
+                gateway.poll("p")
+            with pytest.raises(RuntimeError, match="journal"):
+                gateway.check_workers()
 
 
 class TestRestartRecovery:

@@ -15,13 +15,9 @@ Failures replay deterministically; set ``REPRO_CHAOS_SEED=<int>`` to
 override the seed sets (see ``conftest.pytest_generate_tests``).
 """
 
-import os
-import signal
-
 import numpy as np
 import pytest
 
-from repro.ecg.synth import RecordSynthesizer, SynthesisConfig
 from repro.serving import (
     FileJournalStore,
     MemoryJournalStore,
@@ -31,18 +27,14 @@ from repro.serving import (
 )
 
 N_LEADS = 1
+MIN_CHUNK = 16  # shortest random ingest chunk, samples
 FS = 360.0
 BACKENDS = ("file", "sqlite", "memory")
 
 
 @pytest.fixture(scope="module")
-def records():
-    return [
-        RecordSynthesizer(SynthesisConfig(n_leads=N_LEADS), seed=s).synthesize(
-            10.0, class_mix={"N": 0.55, "V": 0.3, "L": 0.15}, name=f"kill-{s}"
-        )
-        for s in (201, 202, 203)
-    ]
+def records(synth_records):
+    return synth_records((201, 202, 203), 10.0, "kill")
 
 
 def make_journal(backend, tmp_path, snapshot_every):
@@ -55,31 +47,13 @@ def make_journal(backend, tmp_path, snapshot_every):
     return SessionJournal(store, snapshot_every=snapshot_every)
 
 
-def chunk_queue(record, rng):
-    """Split a record into random 16..700-sample ingest chunks."""
-    chunks, i = [], 0
-    while i < record.n_samples:
-        n = int(rng.integers(16, 700))
-        chunks.append(record.signal[i : i + n])
-        i += n
-    return chunks
-
-
-def sigkill(gateway, index) -> bool:
-    proc = gateway.gateway._procs[index]
-    if not proc.is_alive():  # already dead from an earlier kill
-        return False
-    os.kill(proc.pid, signal.SIGKILL)
-    proc.join(5.0)
-    return True
-
-
 class TestKillChaos:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.chaos_seeds(0, 1)
     def test_random_kill_schedule_is_bit_exact(
         self, backend, chaos_seed, records, embedded_classifier,
         assert_events_equal, standalone_events, tmp_path,
+        chunk_queue, sigkill,
     ):
         rng = np.random.default_rng(
             7000 + 10 * chaos_seed + BACKENDS.index(backend)
@@ -97,7 +71,7 @@ class TestKillChaos:
             sessions = {}
             for i, record in enumerate(records):
                 sessions[f"s{i}"] = dict(
-                    record=record, chunks=chunk_queue(record, rng),
+                    record=record, chunks=chunk_queue(record, rng, MIN_CHUNK),
                     fed=0, events=[],
                 )
                 gateway.open_session(f"s{i}")
@@ -157,13 +131,14 @@ class TestKillChaos:
     def test_kill_then_restart_then_kill_again(
         self, backend, chaos_seed, records, embedded_classifier,
         assert_events_equal, standalone_events, tmp_path,
+        chunk_queue, sigkill,
     ):
         """The full gauntlet: a worker kill, a full-process restart
         over the surviving journal directory, then another kill — one
         uninterrupted bit-exact sequence through all three."""
         rng = np.random.default_rng(9000 + chaos_seed)
         record = records[0]
-        chunks = chunk_queue(record, rng)
+        chunks = chunk_queue(record, rng, MIN_CHUNK)
         cuts = sorted(rng.choice(range(1, len(chunks)), size=2, replace=False))
         events, fed = [], 0
 
@@ -224,6 +199,7 @@ class TestEvictionSalvageChaos:
     def test_kill_between_evict_and_delivery(
         self, backend, chaos_seed, records, embedded_classifier,
         assert_events_equal, standalone_events, tmp_path,
+        chunk_queue, sigkill,
     ):
         rng = np.random.default_rng(9500 + chaos_seed)
         # A large snapshot cadence: a mid-ingest snapshot is a
@@ -246,12 +222,12 @@ class TestEvictionSalvageChaos:
             # session.  poll(10.0) below then guarantees the buffered
             # response is the one carrying the eviction notice.
             events.append(gateway.poll("stale"))
-            busy_chunks = chunk_queue(records[1], rng)
+            busy_chunks = chunk_queue(records[1], rng, MIN_CHUNK)
             events.append(gateway.ingest("busy", busy_chunks[0]))
             fed = len(busy_chunks[0])
             # Wait for the worker to write the (undrained) response,
             # then kill it before anything reads the pipe.
-            conn = gateway.gateway._conns[0]
+            conn = gateway._conns[0]
             assert conn.poll(10.0)
             assert sigkill(gateway, 0)
             assert gateway.check_workers() >= 1  # busy recovered
@@ -267,7 +243,7 @@ class TestEvictionSalvageChaos:
             )
             assert gateway.stats()["evictions_salvaged"] >= 1
             # ... and recovery did not resurrect the closed session.
-            assert "stale" not in gateway.gateway._owner
+            assert "stale" not in gateway._owner
             assert "stale" not in journal.session_ids()
             # The surviving session continues bit-exactly to the end.
             for chunk in busy_chunks[1:]:

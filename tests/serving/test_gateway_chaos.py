@@ -25,30 +25,15 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.ecg.synth import RecordSynthesizer, SynthesisConfig
 from repro.serving import AutoBalancer, ShardedGateway, StreamGateway
 
 N_LEADS = 1
+MIN_CHUNK = 5  # shortest random ingest chunk, samples
 
 
 @pytest.fixture(scope="module")
-def records():
-    return [
-        RecordSynthesizer(SynthesisConfig(n_leads=N_LEADS), seed=s).synthesize(
-            12.0, class_mix={"N": 0.55, "V": 0.3, "L": 0.15}, name=f"chaos-{s}"
-        )
-        for s in (101, 102, 103)
-    ]
-
-
-def chunk_queue(record, rng):
-    """Split a record into random 5..700-sample ingest chunks."""
-    chunks, i = [], 0
-    while i < record.n_samples:
-        n = int(rng.integers(5, 700))
-        chunks.append(record.signal[i : i + n])
-        i += n
-    return chunks
+def records(synth_records):
+    return synth_records((101, 102, 103), 12.0, "chaos")
 
 
 def random_gateway_kwargs(rng):
@@ -64,7 +49,7 @@ class TestInterGatewayChaos:
     @pytest.mark.chaos_seeds(0, 1, 2, 3)
     def test_random_schedule_with_migration_is_bit_exact(
         self, chaos_seed, records, embedded_classifier, assert_events_equal,
-        standalone_events,
+        standalone_events, chunk_queue,
     ):
         rng = np.random.default_rng(chaos_seed)
         fs = records[0].fs
@@ -79,7 +64,7 @@ class TestInterGatewayChaos:
             home = int(rng.integers(0, 2))
             sessions[f"s{i}"] = dict(
                 record=record,
-                chunks=chunk_queue(record, rng),
+                chunks=chunk_queue(record, rng, MIN_CHUNK),
                 fed=0,
                 home=home,
                 events=[],
@@ -132,7 +117,7 @@ class TestShardedChaos:
     @pytest.mark.chaos_seeds(0, 1)
     def test_random_schedule_with_worker_migration_is_bit_exact(
         self, workers, chaos_seed, records, embedded_classifier,
-        assert_events_equal, standalone_events,
+        assert_events_equal, standalone_events, chunk_queue,
     ):
         rng = np.random.default_rng(100 * workers + chaos_seed)
         fs = records[0].fs
@@ -143,7 +128,7 @@ class TestShardedChaos:
             sessions = {}
             for i, record in enumerate(records):
                 sessions[f"s{i}"] = dict(
-                    record=record, chunks=chunk_queue(record, rng), fed=0, events=[]
+                    record=record, chunks=chunk_queue(record, rng, MIN_CHUNK), fed=0, events=[]
                 )
                 gateway.open_session(f"s{i}")
             n_migrations = 0
@@ -189,7 +174,7 @@ class TestEvictionChaos:
     @pytest.mark.chaos_seeds(0, 1, 2)
     def test_evicted_sessions_emit_their_exact_remainder(
         self, chaos_seed, records, embedded_classifier, assert_events_equal,
-        standalone_events,
+        standalone_events, chunk_queue,
     ):
         rng = np.random.default_rng(1000 + chaos_seed)
         fs = records[0].fs
@@ -206,7 +191,7 @@ class TestEvictionChaos:
             # survivors' ticks then evict it.
             stop_after = int(rng.integers(1, record.n_samples))
             sessions[f"s{i}"] = dict(
-                record=record, chunks=chunk_queue(record, rng), fed=0, events=[],
+                record=record, chunks=chunk_queue(record, rng, MIN_CHUNK), fed=0, events=[],
                 stop_after=stop_after,
             )
             gateway.open_session(f"s{i}")
@@ -257,7 +242,7 @@ class TestScalingChaos:
     @pytest.mark.chaos_seeds(0, 1)
     def test_scale_events_preserve_bit_exactness(
         self, trajectory, chaos_seed, records, embedded_classifier,
-        assert_events_equal, standalone_events,
+        assert_events_equal, standalone_events, chunk_queue,
     ):
         rng = np.random.default_rng(
             5000 + 10 * chaos_seed + {"grow": 0, "shrink": 1, "oscillate": 2}[trajectory]
@@ -281,7 +266,7 @@ class TestScalingChaos:
             for i in range(5):  # more sessions than records: reuse streams
                 record = records[i % len(records)]
                 sessions[f"s{i}"] = dict(
-                    record=record, chunks=chunk_queue(record, rng), fed=0,
+                    record=record, chunks=chunk_queue(record, rng, MIN_CHUNK), fed=0,
                     events=[], open=False, done=False,
                 )
             # A couple of sessions are live from the start; the rest
