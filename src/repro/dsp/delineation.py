@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.dsp.kernels import TailBuffer
 from repro.dsp.mmd import charge_mmd_ops, mmd_transform
 
 #: Names of the nine fiducial points, in temporal order.
@@ -92,7 +93,7 @@ class DelineationConfig:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BeatFiducials:
     """Fiducial sample indices of one beat (record coordinates).
 
@@ -876,7 +877,9 @@ class StreamingDelineator:
         self._left = -off_lo  # samples of left context a segment needs
         self._right = off_hi  # samples past the peak that finalize it
         self._lookback = int(round(lookback_s * fs))
-        self._buffer: np.ndarray | None = None  # (rows, n_leads)
+        # Filtered samples, stored (n_leads, samples) with amortized
+        # append/trim; ``_buffer`` is the (samples, n_leads) view.
+        self._samples: TailBuffer | None = None
         self._origin = 0  # absolute index where the current stream began
         self._start = 0  # absolute index of buffer[0]
         self._end = 0  # absolute samples consumed
@@ -891,7 +894,12 @@ class StreamingDelineator:
     @property
     def buffered_samples(self) -> int:
         """Current buffer occupancy (bounded, see class docs)."""
-        return 0 if self._buffer is None else self._buffer.shape[0]
+        return 0 if self._samples is None else len(self._samples)
+
+    @property
+    def _buffer(self) -> np.ndarray | None:
+        """Buffered samples as ``(samples, n_leads)`` (a view)."""
+        return None if self._samples is None else self._samples.view.T
 
     def push(self, block: np.ndarray) -> list[tuple[int, BeatFiducials]]:
         """Feed filtered samples; return beats that became final."""
@@ -900,12 +908,12 @@ class StreamingDelineator:
             block = block[:, np.newaxis]
         if block.ndim != 2:
             raise ValueError("blocks must be (n,) or (n, n_leads)")
-        if self._buffer is None:
-            self._buffer = np.empty((0, block.shape[1]))
-        if block.shape[1] != self._buffer.shape[1]:
+        if self._samples is None:
+            self._samples = TailBuffer((block.shape[1],))
+        if block.shape[1] != self._samples.view.shape[0]:
             raise ValueError("lead count changed mid-stream")
         if block.shape[0]:
-            self._buffer = np.concatenate([self._buffer, block], axis=0)
+            self._samples.append(block.T)
             self._end += block.shape[0]
         out = self._finalize(final=False)
         self._trim()
@@ -983,7 +991,8 @@ class StreamingDelineator:
         the same timeline, like the streaming peak detector.
         """
         out = self._finalize(final=True)
-        self._buffer = None if self._buffer is None else self._buffer[:0]
+        if self._samples is not None:
+            self._samples.clear()
         self._origin = self._start = self._end
         self._hold = None
         return out
@@ -1090,7 +1099,7 @@ class StreamingDelineator:
         return [BeatFiducials.from_array(row) for row in combined]
 
     def _trim(self) -> None:
-        if self._buffer is None:
+        if self._samples is None:
             return
         keep_from = self._end - (self._lookback + self._left + 1)
         if self._pending:
@@ -1099,5 +1108,5 @@ class StreamingDelineator:
             keep_from = min(keep_from, self._seg_lo(self._hold))
         keep_from = max(self._start, keep_from)
         if keep_from > self._start:
-            self._buffer = self._buffer[keep_from - self._start :]
+            self._samples.drop(keep_from - self._start)
             self._start = keep_from

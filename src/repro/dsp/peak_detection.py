@@ -194,12 +194,11 @@ def _find_pairs(
     if maxima.size == 0:
         return []
     corro = int(round(config.corroboration_window * fs))
-    corroborated = [
-        m
-        for m in maxima
-        if _has_neighbour(w[0], m, corro, np.sign(w[detection_scale][m]), thresholds[0] * relax)
-        and _has_neighbour(w[2], m, corro, np.sign(w[detection_scale][m]), thresholds[2] * relax)
-    ]
+    signs = np.sign(w[detection_scale][maxima])
+    corroborated = maxima[
+        _has_neighbour(w[0], maxima, corro, signs, thresholds[0] * relax)
+        & _has_neighbour(w[2], maxima, corro, signs, thresholds[2] * relax)
+    ].tolist()
     max_sep = int(round(config.max_pair_separation * fs))
     pairs: list[tuple[int, int]] = []
     used = -1
@@ -218,15 +217,20 @@ def _find_pairs(
 
 
 def _has_neighbour(
-    w_scale: np.ndarray, position: int, window: int, sign: float, threshold: float
-) -> bool:
-    """True when a same-sign suprathreshold extremum exists nearby."""
-    lo = max(0, position - window)
-    hi = min(w_scale.size, position + window + 1)
-    segment = w_scale[lo:hi]
-    if sign >= 0:
-        return bool(np.any(segment >= threshold))
-    return bool(np.any(segment <= -threshold))
+    w_scale: np.ndarray,
+    positions: np.ndarray,
+    window: int,
+    signs: np.ndarray,
+    threshold: float,
+) -> np.ndarray:
+    """Per position: does a same-sign suprathreshold sample lie within
+    ``window`` samples of it?  (Counts from prefix sums, so all
+    positions cost one pass over the scale.)"""
+    lo = np.maximum(positions - window, 0)
+    hi = np.minimum(positions + window + 1, w_scale.size)
+    above = np.concatenate(([0], np.cumsum(w_scale >= threshold)))
+    below = np.concatenate(([0], np.cumsum(w_scale <= -threshold)))
+    return np.where(signs >= 0, above[hi] - above[lo], below[hi] - below[lo]) > 0
 
 
 def _pairs_to_peaks(w1: np.ndarray, pairs: list[tuple[int, int]]) -> list[int]:

@@ -8,26 +8,31 @@ This module provides that engine:
 * :class:`BlockFilter` — a cascade of :class:`~repro.dsp.kernels.StreamingExtremum`
   stages (erosion/dilation for baseline removal, opening/closing for
   denoising) plus a delay line for the baseline subtraction.  Every
-  stage carries its sliding-extremum running state across ``push``
-  calls, so each sample is touched a constant number of times no
-  matter the block size — amortized O(block) work per push, instead of
-  re-filtering a ``context + block`` buffer with the batch kernels on
-  every call.  The cascade seeds each stage with its first input
-  (matching the batch operators' left edge replication) and ``flush``
-  replicates each stage's last input (matching the right edge), which
-  makes the streamed output **bit-exact** with
-  ``filter_lead(whole_record)`` from the very first sample.
+  stage carries the last ``m - 1`` samples it saw across ``push``
+  calls and runs the batch sliding-extremum kernel over ``[carry |
+  block]`` — amortized O(block + m) work per push, instead of
+  re-filtering a ``context + block`` buffer on every call.  The
+  cascade seeds each stage with its first input (matching the batch
+  operators' left edge replication) and ``flush`` replicates each
+  stage's last input (matching the right edge), which makes the
+  streamed output **bit-exact** with ``filter_lead(whole_record)`` from
+  the very first sample.
 * :class:`StreamingPeakDetector` — wavelet peak detection over the
   filtered stream.  A :class:`~repro.dsp.wavelet.StreamingWavelet`
-  carries the FIR state of all eight à-trous filters (each sample is
+  carries the FIR state of the à-trous filters (each sample is
   filtered once; the per-window transform recomputation of the old
   scheduler is gone) and per-scale running energy sums carry the
   detection thresholds across windows.  Only the cheap pairing /
   refractory / search-back logic runs per analysis window, on the
   buffered coefficients.
 
+  Both are **multi-row**: one push of a sequence of 1-D rows (leads,
+  sessions — any lengths, any stream positions) advances every row in
+  one vectorized pass per stage and filter, bit-exact with pushing
+  each row alone; a 1-D block is the one-row case.
+
 * :class:`StreamingNode` — the whole gated node of Figure 6 as one
-  incremental engine: per-lead :class:`BlockFilter` front ends, the
+  incremental engine: a :class:`BlockFilter` over all leads, the
   :class:`StreamingPeakDetector`, per-beat classification, and the
   gated :class:`~repro.dsp.delineation.StreamingDelineator` for beats
   flagged abnormal.  It emits one :class:`StreamBeatEvent` per beat
@@ -43,6 +48,9 @@ This module provides that engine:
   capture the full session state (filters, wavelet, thresholds,
   delineator buffers, pending beats) as a picklable
   :class:`NodeSnapshot` so live sessions can migrate between shards.
+* :func:`push_nodes` — many nodes' pushes as one batched front-end
+  pass (one stacked filter push over every lead of every node, one
+  stacked detector push), the gateway's per-round DSP step.
 
 The filter/detector classes record no op counts: the counters model
 the embedded firmware's *batch-equivalent* arithmetic, which is
@@ -62,7 +70,15 @@ from repro.dsp.delineation import (
     DelineationConfig,
     StreamingDelineator,
 )
-from repro.dsp.kernels import StreamingExtremum
+from repro.dsp.kernels import (
+    StreamingExtremum,
+    TailBuffer,
+    as_rows,
+    from_rows,
+    row_lengths,
+    shift_rows,
+    take_rows,
+)
 from repro.dsp.morphological import structuring_element_length
 from repro.dsp.peak_detection import PeakDetectorConfig, detect_peaks_from_wavelet
 from repro.dsp.wavelet import StreamingWavelet
@@ -111,11 +127,19 @@ class BlockFilter:
     its first input value, which is precisely the batch operators'
     left edge padding.
 
-    Unlike the original scheduler, which re-ran the batch kernels over
-    a ``context + block`` buffer on every call (O((context + block)·m)
-    work per push), each stage here advances its own running state:
-    the amortized work per push is O(block), independent of both the
-    structuring-element lengths and the retained context.
+    Each stage carries only the last ``m - 1`` samples it saw and runs
+    the batch :func:`~repro.dsp.kernels.sliding_extremum` over
+    ``[carry | block]``, so the amortized work per push is O(block +
+    m), independent of the retained context.
+
+    The filter is multi-row: a sequence of 1-D rows of any lengths
+    (each at its own stream position) advances every row through the
+    whole morphology cascade in one vectorized pass per stage and returns
+    a list of per-row outputs — how :class:`StreamingNode` filters all
+    its leads at once and how a gateway filters many sessions at once.
+    A 1-D block is the one-row case and returns a 1-D array.  The row count is fixed
+    by the first push; every row's state lives in one ``(rows, ·)``
+    array, so filters are cheap to stack and split.
     """
 
     def __init__(self, fs: float):
@@ -123,92 +147,161 @@ class BlockFilter:
             raise ValueError("sampling frequency must be positive")
         self.fs = fs
         self.context = filter_context_samples(fs)
-        self._opening_length = structuring_element_length(OPENING_WINDOW_S, fs)
-        self._closing_length = structuring_element_length(CLOSING_WINDOW_S, fs)
-        self._denoise_length = structuring_element_length(DENOISE_WINDOW_S, fs)
-        self._reset_stages()
-
-    def _reset_stages(self) -> None:
-        m1, m2, m3 = self._opening_length, self._closing_length, self._denoise_length
-        # remove_baseline: closing(opening(x, m1), m2), then x - baseline.
-        self._baseline = [
+        self._opening_length = m1 = structuring_element_length(OPENING_WINDOW_S, fs)
+        self._closing_length = m2 = structuring_element_length(CLOSING_WINDOW_S, fs)
+        self._denoise_length = m3 = structuring_element_length(DENOISE_WINDOW_S, fs)
+        # remove_baseline: closing(opening(x, m1), m2), then x - baseline;
+        # suppress_noise: (opening(y, m3) + closing(y, m3)) / 2.  The
+        # opening's dilation and the closing's dilation are adjacent, and
+        # a dilation of a dilation is one dilation over the union window
+        # (m1 + m2 - 1 samples, edges included), so the baseline takes
+        # three stages.  The stages hold only their configuration; the
+        # carries live in self._state.
+        self._stages = [
             StreamingExtremum(m1, maximum=False),
-            StreamingExtremum(m1, maximum=True),
-            StreamingExtremum(m2, maximum=True),
+            StreamingExtremum(m1 + m2 - 1, maximum=True),
             StreamingExtremum(m2, maximum=False),
-        ]
-        # suppress_noise: (opening(y, m3) + closing(y, m3)) / 2.
-        self._open = [
             StreamingExtremum(m3, maximum=False),
             StreamingExtremum(m3, maximum=True),
-        ]
-        self._close = [
             StreamingExtremum(m3, maximum=True),
             StreamingExtremum(m3, maximum=False),
         ]
-        self._raw = np.empty(0)  # delay line for the baseline subtraction
+        # Delay line for the baseline subtraction: the raw samples the
+        # baseline cascade has not answered yet.
+        self._raw_lag = sum(stage.right for stage in self._stages[:3])
+        widths = [self._raw_lag] + [stage.length - 1 for stage in self._stages]
+        bounds = np.cumsum([0] + widths).tolist()
+        self._slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        self._width = bounds[-1]
+        self._full = np.asarray(widths)  # counts once every carry is full
+        self._state: np.ndarray | None = None  # (rows, width) carries
+        self._count: np.ndarray | None = None  # (rows, 8) real samples in each
+        self._single = True
 
     @property
     def delay_samples(self) -> int:
         """Exact output latency: output ``i`` is emitted once input
         ``i + delay_samples`` has been pushed (each stage of the
         cascade withholds its one-sided lookahead)."""
-        stages = self._baseline + self._open
-        return sum(stage.right for stage in stages)
+        return sum(stage.right for stage in self._stages[:5])
 
-    @staticmethod
-    def _through(stages: list[StreamingExtremum], block: np.ndarray) -> np.ndarray:
-        for stage in stages:
-            block = stage.push(block)
-        return block
-
-    def push(self, block: np.ndarray) -> np.ndarray:
+    def push(self, block) -> np.ndarray | list[np.ndarray]:
         """Feed a block; return newly finalized filtered samples."""
-        block = np.asarray(block, dtype=float)
-        if block.ndim != 1:
-            raise ValueError("blocks must be 1-D")
-        self._raw = np.concatenate([self._raw, block])
-        baseline = self._through(self._baseline, block)
-        return self._denoise(self._debase(baseline))
+        values, lengths, single = as_rows(block)
+        self._ensure_rows(values.shape[0])
+        self._single = single
+        # Past every row's stream start, each stage is one kernel call
+        # with no per-row bookkeeping.
+        steady = bool((self._count == self._full).all())
+        baseline = values, lengths
+        for i in range(3):
+            baseline = self._stage(i, *baseline, steady=steady)
+        debased = self._debase(values, lengths, *baseline, steady=steady)
+        out, lengths = self._denoise(*debased, steady=steady)
+        return from_rows(out, lengths, self._single)
 
-    def flush(self) -> np.ndarray:
+    def flush(self) -> np.ndarray | list[np.ndarray]:
         """Finalize the tail (edge-replicated, like the batch path).
 
         Resets the filter afterwards: a subsequent ``push`` starts a
         fresh stream.
         """
-        baseline = self._flush_cascade(self._baseline)
-        debased = self._debase(baseline)
-        opened = np.concatenate(
-            [self._through(self._open, debased), self._flush_cascade(self._open)]
-        )
-        closed = np.concatenate(
-            [self._through(self._close, debased), self._flush_cascade(self._close)]
-        )
-        out = (opened + closed) / 2.0
-        self._reset_stages()
-        return out
+        if self._state is None:
+            return np.empty(0) if self._single else []
+        rows = self._state.shape[0]
+        empty, none = np.empty((rows, 0)), np.zeros(rows, dtype=np.int64)
+        baseline = empty, none
+        for i in range(3):
+            baseline = self._stage(i, *baseline, final=True)
+        out, lengths = self._denoise(*self._debase(empty, none, *baseline), final=True)
+        self._state[...] = 0.0
+        self._count[...] = 0
+        return from_rows(out, lengths, self._single)
 
-    @staticmethod
-    def _flush_cascade(stages: list[StreamingExtremum]) -> np.ndarray:
-        """Flush a stage cascade in order, forwarding tails downstream."""
-        out = np.empty(0)
-        for i, stage in enumerate(stages):
-            out = np.concatenate([stage.push(out), stage.flush()])
-        return out
+    def _ensure_rows(self, rows: int) -> None:
+        if self._state is None:
+            self._state = np.zeros((rows, self._width))
+            self._count = np.zeros((rows, len(self._slices)), dtype=np.int64)
+            self._single = rows == 1
+        elif self._state.shape[0] != rows:
+            raise ValueError(f"row count changed mid-stream ({self._state.shape[0]} -> {rows})")
 
-    def _debase(self, baseline: np.ndarray) -> np.ndarray:
+    def _stage(self, i: int, values, lengths, *, steady: bool = False, final: bool = False):
+        """Run cascade stage ``i`` on its slice of the row state."""
+        stage = self._stages[i]
+        carry = self._state[:, self._slices[i + 1]]
+        if steady:
+            return stage._advance(carry, values, lengths), lengths
+        count = self._count[:, i + 1]
+        if final:
+            return stage._flush_step(carry, count, values, lengths)
+        return stage._step(carry, count, values, lengths)
+
+    def _debase(self, values, lengths, baseline, baseline_lengths, *, steady: bool = False):
         """Pair finalized baseline samples with the delayed raw signal."""
-        if baseline.size == 0:
-            return baseline
-        debased = self._raw[: baseline.size] - baseline
-        self._raw = self._raw[baseline.size :]
-        return debased
+        lag = self._raw_lag
+        raw, count = self._state[:, self._slices[0]], self._count[:, 0]
+        before = count.copy()
+        ext = shift_rows(raw, values, lengths)
+        width = baseline.shape[1]
+        if steady:
+            return ext[:, :width] - baseline, baseline_lengths
+        np.minimum(count + (values.shape[1] if lengths is None else lengths), lag, out=count)
+        start = lag - before  # position of each row's oldest pending sample
+        pending = ext[:, :width] if not start.any() else take_rows(ext, start, width)
+        return pending - baseline, baseline_lengths
 
-    def _denoise(self, debased: np.ndarray) -> np.ndarray:
-        opened = self._through(self._open, debased)
-        closed = self._through(self._close, debased)
-        return (opened + closed) / 2.0
+    def _denoise(self, debased, lengths, *, steady: bool = False, final: bool = False):
+        opened = closed = debased, lengths
+        for i in (3, 4):
+            opened = self._stage(i, *opened, steady=steady, final=final)
+        for i in (5, 6):
+            closed = self._stage(i, *closed, steady=steady, final=final)
+        return (opened[0] + closed[0]) / 2.0, opened[1]
+
+    @classmethod
+    def _stack(cls, filters: list["BlockFilter"]) -> "BlockFilter":
+        """One filter whose rows are the given filters' rows, in order
+        (same sampling rate; write results back with :meth:`_unstack`)."""
+        stacked = copy.copy(filters[0])
+        stacked._state = np.concatenate([f._state for f in filters])
+        stacked._count = np.concatenate([f._count for f in filters])
+        return stacked
+
+    def _unstack(self, filters: list["BlockFilter"]) -> None:
+        """Copy this stacked filter's rows back into ``filters``."""
+        lo = 0
+        for f in filters:
+            hi = lo + f._state.shape[0]
+            f._state[...] = self._state[lo:hi]
+            f._count[...] = self._count[lo:hi]
+            lo = hi
+
+
+class _DetectorRow:
+    """One stream's detection state: buffered coefficient columns,
+    decayed energy sums and confirmed peaks."""
+
+    __slots__ = ("coeffs", "offset", "consumed", "sumsq", "count", "energy_pos", "peaks")
+
+    def __init__(self, n_scales: int):
+        self.coeffs = TailBuffer((n_scales,))
+        self.offset = 0  # absolute index of coeffs[:, 0]
+        self.consumed = 0  # absolute samples pushed so far
+        # Exponentially decayed per-scale energy: keeps the adaptivity
+        # the old per-window RMS thresholds had, without recomputing
+        # any RMS over the buffer.
+        self.sumsq = np.zeros(n_scales)
+        self.count = 0.0
+        self.energy_pos = 0  # absolute index energy is folded through
+        self.peaks: list[int] = []
+
+    def __getstate__(self):
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            setattr(self, name, value)
 
 
 class StreamingPeakDetector:
@@ -245,6 +338,11 @@ class StreamingPeakDetector:
     across windows, and only the pairing / refractory / search-back
     logic runs per window, on the buffered coefficient columns.
 
+    Like :class:`BlockFilter` it is multi-row: a sequence of 1-D rows
+    runs the wavelet filters of every row in one
+    pass and returns one list of new peaks per row; a 1-D block is the
+    one-row case and returns a list of peaks.
+
     ``flush`` analyzes the remaining tail and *resets the stream
     state*: the absolute sample origin of a subsequent ``push`` is
     preserved, so peak indices keep referring to the same global
@@ -270,29 +368,24 @@ class StreamingPeakDetector:
         self.overlap = int(round(overlap_s * fs))
         self.config = config or PeakDetectorConfig()
         self._wavelet = StreamingWavelet(n_scales=4)
-        self._coeffs = np.empty((4, 0))
-        self._offset = 0  # absolute index of coeffs[:, 0]
-        self._consumed = 0  # absolute samples pushed so far
-        # Exponentially decayed per-scale energy: keeps the adaptivity
-        # the old per-window RMS thresholds had, without recomputing
-        # any RMS over the buffer.
         self._decay = float(np.exp(-1.0 / (threshold_time_constant_s * fs)))
-        self._sumsq = np.zeros(4)
-        self._count = 0.0
-        self._energy_pos = 0  # absolute index energy is folded through
-        self._peaks: list[int] = []
+        self._rows: list[_DetectorRow] = []
+        self._single = True
 
-    def _thresholds(self) -> np.ndarray:
+    def _ensure_rows(self, rows: int) -> None:
+        if not self._rows:
+            self._rows = [_DetectorRow(self._wavelet.n_scales) for _ in range(rows)]
+        elif len(self._rows) != rows:
+            raise ValueError(f"row count changed mid-stream ({len(self._rows)} -> {rows})")
+        self._wavelet._ensure_rows(rows)
+
+    def _thresholds(self, row: _DetectorRow) -> np.ndarray:
         """Running per-scale thresholds from the carried energy sums."""
-        if self._count <= 0.0:
-            return np.zeros(4)
-        return self.config.threshold_factor * np.sqrt(self._sumsq / self._count)
+        if row.count <= 0.0:
+            return np.zeros(row.sumsq.size)
+        return self.config.threshold_factor * np.sqrt(row.sumsq / row.count)
 
-    def _append(self, columns: np.ndarray) -> None:
-        if columns.shape[1]:
-            self._coeffs = np.concatenate([self._coeffs, columns], axis=1)
-
-    def _fold_energy(self, through: int) -> None:
+    def _fold_energy(self, row: _DetectorRow, through: int) -> None:
         """Fold buffered coefficient energy into the decayed sums.
 
         ``through`` is an absolute sample index; energy is folded
@@ -300,43 +393,54 @@ class StreamingPeakDetector:
         at window-consumption points only, so detections are invariant
         to how the caller chunks the stream.
         """
-        k = through - self._energy_pos
+        k = through - row.energy_pos
         if k <= 0:
             return
-        columns = self._coeffs[:, self._energy_pos - self._offset : through - self._offset]
+        columns = row.coeffs.view[:, row.energy_pos - row.offset : through - row.offset]
         weights = self._decay ** np.arange(k - 1, -1, -1)
         decayed = self._decay**k
-        self._sumsq = self._sumsq * decayed + np.square(columns) @ weights
-        self._count = self._count * decayed + float(weights.sum())
-        self._energy_pos = through
+        row.sumsq = row.sumsq * decayed + np.square(columns) @ weights
+        row.count = row.count * decayed + float(weights.sum())
+        row.energy_pos = through
 
-    def push(self, filtered_block: np.ndarray) -> list[int]:
+    def push(self, filtered_block) -> list[int] | list[list[int]]:
         """Feed filtered samples; return newly confirmed peak indices."""
-        filtered_block = np.asarray(filtered_block, dtype=float)
-        if filtered_block.ndim != 1:
-            raise ValueError("blocks must be 1-D")
-        self._consumed += filtered_block.size
-        self._append(self._wavelet.push(filtered_block))
+        values, lengths, single = as_rows(filtered_block)
+        self._single = single
+        self._ensure_rows(values.shape[0])
+        columns, counts = self._wavelet._step(values, lengths)
+        pushed = row_lengths(values, lengths).tolist()
+        emitted = pushed if counts is None else counts.tolist()
+        out = []
+        for r, row in enumerate(self._rows):
+            row.consumed += pushed[r]
+            if emitted[r]:
+                row.coeffs.append(columns[r, :, : emitted[r]])
+            out.append(self._analyze(row))
+        return out[0] if single else out
+
+    def _analyze(self, row: _DetectorRow) -> list[int]:
+        """Run every analysis window the row's buffer now covers."""
         new_peaks: list[int] = []
-        while self._coeffs.shape[1] >= self.window:
-            segment = self._coeffs[:, : self.window]
-            self._fold_energy(self._offset + self.window)
+        while len(row.coeffs) >= self.window:
+            segment = row.coeffs.view[:, : self.window]
+            self._fold_energy(row, row.offset + self.window)
             detected = (
-                detect_peaks_from_wavelet(segment, self._thresholds(), self.fs, self.config)
-                + self._offset
+                detect_peaks_from_wavelet(segment, self._thresholds(row), self.fs, self.config)
+                + row.offset
             )
             # Peaks inside the trailing overlap are re-examined by the
             # next window (they may lack right context here).
-            confirm_before = self._offset + self.window - self.overlap
+            confirm_before = row.offset + self.window - self.overlap
             for peak in detected:
                 if peak < confirm_before:
                     new_peaks.append(int(peak))
             advance = self.window - self.overlap
-            self._coeffs = self._coeffs[:, advance:]
-            self._offset += advance
-        return self._merge(new_peaks)
+            row.coeffs.drop(advance)
+            row.offset += advance
+        return self._merge(row, new_peaks)
 
-    def flush(self) -> list[int]:
+    def flush(self) -> list[int] | list[list[int]]:
         """Analyze the remaining tail and return its confirmed peaks.
 
         Afterwards the detector is ready for more ``push`` calls: the
@@ -345,41 +449,71 @@ class StreamingPeakDetector:
         stay on the global timeline, and confirmed peaks plus running
         thresholds are retained.
         """
-        self._append(self._wavelet.flush())
-        out: list[int] = []
-        if self._coeffs.shape[1] >= int(0.5 * self.fs):
-            self._fold_energy(self._offset + self._coeffs.shape[1])
-            detected = (
-                detect_peaks_from_wavelet(
-                    self._coeffs, self._thresholds(), self.fs, self.config
+        if not self._rows:
+            return []
+        columns, counts = self._wavelet._flush_step()
+        out = []
+        for r, row in enumerate(self._rows):
+            if counts[r]:
+                row.coeffs.append(columns[r, :, : counts[r]])
+            peaks: list[int] = []
+            if len(row.coeffs) >= int(0.5 * self.fs):
+                self._fold_energy(row, row.offset + len(row.coeffs))
+                detected = (
+                    detect_peaks_from_wavelet(
+                        row.coeffs.view, self._thresholds(row), self.fs, self.config
+                    )
+                    + row.offset
                 )
-                + self._offset
-            )
-            out = self._merge(int(p) for p in detected)
-        self._coeffs = np.empty((4, 0))
-        self._offset = self._consumed
-        self._energy_pos = self._consumed
-        return out
+                peaks = self._merge(row, (int(p) for p in detected))
+            row.coeffs.clear()
+            row.offset = row.energy_pos = row.consumed
+            out.append(peaks)
+        return out[0] if self._single else out
 
-    def _merge(self, candidates) -> list[int]:
+    def _merge(self, row: _DetectorRow, candidates) -> list[int]:
         """Deduplicate against already-confirmed peaks (refractory)."""
         refractory = int(round(self.config.refractory * self.fs))
         accepted: list[int] = []
         for peak in sorted(candidates):
-            last = self._peaks[-1] if self._peaks else None
+            last = row.peaks[-1] if row.peaks else None
             if last is not None and peak - last < refractory:
                 continue
-            self._peaks.append(peak)
+            row.peaks.append(peak)
             accepted.append(peak)
         return accepted
 
     @property
-    def peaks(self) -> np.ndarray:
-        """All confirmed peaks so far (absolute sample indices)."""
-        return np.asarray(self._peaks, dtype=np.int64)
+    def peaks(self) -> np.ndarray | list[np.ndarray]:
+        """All confirmed peaks so far (absolute sample indices), per
+        row for a multi-row detector."""
+        if self._single:
+            return np.asarray(self._rows[0].peaks if self._rows else [], dtype=np.int64)
+        return [np.asarray(row.peaks, dtype=np.int64) for row in self._rows]
+
+    @classmethod
+    def _stack(cls, detectors: list["StreamingPeakDetector"]) -> "StreamingPeakDetector":
+        """One detector whose rows are the given detectors' rows (same
+        configuration; write the wavelet state back with :meth:`_unstack`).
+        The per-row detection state is shared, not copied."""
+        stacked = copy.copy(detectors[0])
+        wavelet = stacked._wavelet = copy.copy(detectors[0]._wavelet)
+        wavelet._state = np.concatenate([d._wavelet._state for d in detectors])
+        wavelet._consumed = np.concatenate([d._wavelet._consumed for d in detectors])
+        stacked._rows = [row for d in detectors for row in d._rows]
+        return stacked
+
+    def _unstack(self, detectors: list["StreamingPeakDetector"]) -> None:
+        """Copy this stacked detector's wavelet rows back into ``detectors``."""
+        lo = 0
+        for d in detectors:
+            hi = lo + d._wavelet._state.shape[0]
+            d._wavelet._state[...] = self._wavelet._state[lo:hi]
+            d._wavelet._consumed[...] = self._wavelet._consumed[lo:hi]
+            lo = hi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StreamBeatEvent:
     """One beat, fully processed by the gated node.
 
@@ -546,8 +680,13 @@ class StreamingNode:
         self.lead = lead
         self.decimation = decimation
         self.window = window or BeatWindow()
-        self._filters = [BlockFilter(fs) for _ in range(n_leads)]
+        # One multi-row filter advances every lead per push; the row
+        # counts are fixed up front so a node can join a batched pass
+        # (push_nodes) before its first push.
+        self._filter = BlockFilter(fs)
+        self._filter._ensure_rows(n_leads)
         self._detector = StreamingPeakDetector(fs, config=detector_config)
+        self._detector._ensure_rows(1)
         # Large caller blocks are chopped internally so every stage's
         # scheduling lag — and therefore the retained history — stays
         # bounded no matter how the caller chunks the stream.
@@ -557,8 +696,8 @@ class StreamingNode:
             fs, config=delineation_config, lookback_s=(keep + self._chop) / fs
         )
         self._seg_keep = keep
-        self._seg_buf = np.empty(0)
-        self._seg_start = 0
+        self._seg_buf = TailBuffer()
+        self._seg_start = 0  # absolute index of the segment buffer's first sample
         self._count = 0  # filtered samples consumed so far
         self._origin = 0  # absolute index where the current stream began
         self._queue: deque[_PendingBeat] = deque()
@@ -625,11 +764,24 @@ class StreamingNode:
 
     def push(self, block: np.ndarray) -> list[StreamBeatEvent]:
         """Feed raw samples ``(n,)`` or ``(n, n_leads)``; return new events."""
+        block = self._admit(block)
+        return [] if block is None else self._process(block)
+
+    def _validate(self, block: np.ndarray) -> np.ndarray:
+        """A pushed block as ``(n, n_leads)`` floats; raises on a
+        malformed one."""
         block = np.asarray(block, dtype=float)
         if block.ndim == 1:
             block = block[:, np.newaxis]
         if block.ndim != 2 or block.shape[1] != self.n_leads:
             raise ValueError(f"blocks must be (n,) or (n, {self.n_leads})")
+        return block
+
+    def _admit(self, block: np.ndarray) -> np.ndarray | None:
+        """Validate a pushed block and apply input coalescing: return
+        the ``(n, n_leads)`` samples the front end should run now, or
+        ``None`` while they wait in the stash."""
+        block = self._validate(block)
         if self._coalesce > 1:
             # Stash sub-threshold pushes; run the kernels once enough
             # samples accumulate.  The stages are partition-invariant,
@@ -637,24 +789,33 @@ class StreamingNode:
             self._stash.append(block)
             self._stashed += block.shape[0]
             if self._stashed < self._coalesce:
-                return []
+                return None
             block = (
                 self._stash[0] if len(self._stash) == 1
                 else np.concatenate(self._stash, axis=0)
             )
             self._stash.clear()
             self._stashed = 0
-        return self._process(block)
+        return block
 
     def _process(self, block: np.ndarray) -> list[StreamBeatEvent]:
         events: list[StreamBeatEvent] = []
         for i in range(0, block.shape[0], self._chop):
             chunk = block[i : i + self._chop]
-            filtered = np.column_stack(
-                [self._filters[j].push(chunk[:, j]) for j in range(self.n_leads)]
-            )
-            events.extend(self._advance(filtered, final=False))
+            rows = chunk[:, 0] if self.n_leads == 1 else list(chunk.T)
+            filtered = self._lead_columns(self._filter.push(rows))
+            events.extend(self._advance(filtered, self._detect(filtered), final=False))
         return events
+
+    def _lead_columns(self, rows) -> np.ndarray:
+        """Filter output (one 1-D row, or a list of lead rows) as an
+        ``(n, n_leads)`` block."""
+        if isinstance(rows, np.ndarray):
+            return rows[:, np.newaxis]
+        return rows[0][:, np.newaxis] if len(rows) == 1 else np.column_stack(rows)
+
+    def _detect(self, filtered: np.ndarray) -> list[int]:
+        return self._detector.push(filtered[:, self.lead]) if filtered.shape[0] else []
 
     def flush(self) -> list[StreamBeatEvent]:
         """Finalize the stream; return the remaining events.
@@ -676,8 +837,8 @@ class StreamingNode:
                 "(StreamGateway.close_session drives this)"
             )
         events = self._drain_stash()
-        tail = np.column_stack([f.flush() for f in self._filters])
-        events += self._advance(tail, final=True)
+        tail = self._lead_columns(self._filter.flush())
+        events += self._advance(tail, self._detect(tail), final=True)
         self._reset_stream()
         return events
 
@@ -707,8 +868,8 @@ class StreamingNode:
         if not self.defer_classification:
             raise RuntimeError("finish_input() applies to deferred-classify nodes; use flush()")
         events = self._drain_stash()
-        tail = np.column_stack([f.flush() for f in self._filters])
-        return events + self._advance(tail, final=True)
+        tail = self._lead_columns(self._filter.flush())
+        return events + self._advance(tail, self._detect(tail), final=True)
 
     def finalize(self) -> list[StreamBeatEvent]:
         """Deferred mode, step 3 of the stream end: emit the tail events.
@@ -784,22 +945,23 @@ class StreamingNode:
         return self._emit_ready()
 
     def _reset_stream(self) -> None:
-        self._seg_buf = np.empty(0)
+        self._seg_buf.clear()
         self._origin = self._seg_start = self._count
         self._done.clear()
         self._last_kept = None
         self._stash.clear()
         self._stashed = 0
 
-    def _advance(self, filtered: np.ndarray, final: bool) -> list[StreamBeatEvent]:
+    def _advance(
+        self, filtered: np.ndarray, new_peaks: list[int], final: bool
+    ) -> list[StreamBeatEvent]:
+        """Consume one filtered block and the peaks its detector push
+        confirmed; return the events that became complete."""
         if filtered.shape[0]:
             for peak, fiducials in self._delineator.push(filtered):
                 self._done[peak] = fiducials
             self._append_segment_buffer(filtered[:, self.lead])
-            new_peaks = self._detector.push(filtered[:, self.lead])
             self._count += filtered.shape[0]
-        else:
-            new_peaks = []
         if final:
             new_peaks = list(new_peaks) + self._detector.flush()
         for peak in new_peaks:
@@ -814,10 +976,10 @@ class StreamingNode:
         return self._emit_ready()
 
     def _append_segment_buffer(self, filtered_lead: np.ndarray) -> None:
-        self._seg_buf = np.concatenate([self._seg_buf, filtered_lead])
-        excess = self._seg_buf.size - self._seg_keep
+        self._seg_buf.append(filtered_lead)
+        excess = len(self._seg_buf) - self._seg_keep
         if excess > 0:
-            self._seg_buf = self._seg_buf[excess:]
+            self._seg_buf.drop(excess)
             self._seg_start += excess
 
     def _window_ready(self, beat: _PendingBeat, final: bool) -> bool | None:
@@ -844,9 +1006,9 @@ class StreamingNode:
         lo = beat.peak - self.window.pre - self._seg_start
         if lo < 0:
             raise RuntimeError("segmentation context discarded before use")
-        segment = self._seg_buf[np.newaxis, lo : lo + self.window.length]
+        segment = self._seg_buf.view[np.newaxis, lo : lo + self.window.length]
         decimated, _ = decimate_beats(segment, self.window, self.decimation)
-        return decimated
+        return decimated.copy()  # the buffer's storage is reused in place
 
     def _classify_ready(self, final: bool) -> None:
         from repro.core.defuzz import is_abnormal
@@ -928,3 +1090,78 @@ class StreamingNode:
             )
             self._queue.popleft()
         return events
+
+
+def push_nodes(nodes, blocks) -> list[list[StreamBeatEvent]]:
+    """Push one block into each node, running their front ends together.
+
+    Equivalent to ``[node.push(block) for node, block in zip(nodes,
+    blocks)]`` — the same events, bit for bit, and the same input
+    validation and coalescing per node — but the per-sample front end
+    of every node runs as one batched pass: one multi-row
+    :class:`BlockFilter` push over every lead of every node, then one
+    multi-row :class:`StreamingPeakDetector` push over every node's
+    detection lead, instead of one small kernel call per lead, stage
+    and node.  Each node then consumes its own rows (delineation,
+    segmentation, beat scheduling) exactly as its own ``push`` would.
+
+    The nodes must share a sampling rate and detector configuration
+    (all sessions of one gateway do); blocks may differ in length and
+    the nodes may be at any stream position.
+    """
+    events: list[list[StreamBeatEvent]] = [[] for _ in nodes]
+    work = []
+    for index, (node, block) in enumerate(zip(nodes, blocks)):
+        block = node._admit(block)
+        if block is not None:
+            work.append((index, node, block))
+    if not work:
+        return events
+    chop = work[0][1]._chop
+    for lo in range(0, max(block.shape[0] for _, _, block in work), chop):
+        live = [
+            (index, node, block[lo : lo + chop])
+            for index, node, block in work
+            if block.shape[0] > lo
+        ]
+        if len(live) == 1:
+            index, node, piece = live[0]
+            events[index].extend(node._process(piece))
+            continue
+        filtered = _filter_nodes([(node, piece) for _, node, piece in live])
+        peaks = _detect_nodes([node for _, node, _ in live], filtered)
+        for (index, node, _), block, new_peaks in zip(live, filtered, peaks):
+            events[index].extend(node._advance(block, new_peaks, final=False))
+    return events
+
+
+def _filter_nodes(items) -> list[np.ndarray]:
+    """Every lead of every ``(node, block)`` through one stacked
+    filter push; return each node's ``(n, n_leads)`` filtered block."""
+    filters = [node._filter for node, _ in items]
+    stacked = BlockFilter._stack(filters)
+    rows = stacked.push([block[:, j] for node, block in items for j in range(node.n_leads)])
+    stacked._unstack(filters)
+    out, r = [], 0
+    for node, _ in items:
+        out.append(node._lead_columns(rows[r : r + node.n_leads]))
+        r += node.n_leads
+    return out
+
+
+def _detect_nodes(nodes, filtered: list[np.ndarray]) -> list[list[int]]:
+    """Every node's detection lead through one stacked detector push
+    (nodes whose filter emitted nothing skip the detector, as in
+    :meth:`StreamingNode.push`)."""
+    peaks: list[list[int]] = [[] for _ in nodes]
+    busy = [k for k, block in enumerate(filtered) if block.shape[0]]
+    if len(busy) == 1:
+        peaks[busy[0]] = nodes[busy[0]]._detect(filtered[busy[0]])
+    elif busy:
+        detectors = [nodes[k]._detector for k in busy]
+        stacked = StreamingPeakDetector._stack(detectors)
+        found = stacked.push([filtered[k][:, nodes[k].lead] for k in busy])
+        stacked._unstack(detectors)
+        for k, new_peaks in zip(busy, found):
+            peaks[k] = new_peaks
+    return peaks

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.dsp.kernels import as_rows, from_rows, shift_rows, take_rows
+
 #: Quadratic-spline analysis filters.
 LOWPASS = np.array([1.0, 3.0, 3.0, 1.0]) / 8.0
 HIGHPASS = np.array([2.0, -2.0])
@@ -107,48 +109,75 @@ def dyadic_wavelet(
     return scales
 
 
-class _StreamingFIR:
-    """Causal FIR filter with carried state (exact blockwise convolve).
 
-    Feeding a stream through ``push`` block by block reproduces
+
+class _StreamingFIR:
+    """Causal FIR filter over carried per-row history (exact blockwise convolve).
+
+    Feeding a stream through :meth:`step` block by block reproduces
     ``np.convolve(whole_stream, taps, mode="full")[:n]`` bit for bit.
-    The history holds the last ``len(taps) - 1`` *real* samples (never
-    zero padding), so every emitted output is produced by a dot product
-    over exactly the same operands — and, crucially for pairwise
-    summation, the same operand count — as the batch convolution.
+    The caller owns the history: a ``(rows, len(taps) - 1)``
+    right-aligned carry of each row's last *real* samples (never zero
+    padding) plus its valid count, so every emitted output is produced
+    by a dot product over exactly the same operands — and, crucially
+    for pairwise summation, the same operand count — as the batch
+    convolution.
+
+    All rows whose history is full run as **one** ``np.convolve`` over
+    the raveled ``[history | block]`` rows: each output a row keeps is
+    a full-length dot over that row's own samples, exactly what the
+    per-row convolution computes, while the outputs that straddle two
+    rows are discarded.  Rows still inside their stream's first
+    ``len(taps) - 1`` samples (shorter history, so the batch
+    convolution's boundary dots have fewer operands) are computed one
+    by one.
     """
 
     def __init__(self, taps: np.ndarray):
         self.taps = np.asarray(taps, dtype=float)
-        self._hist = np.empty(0)
 
-    def push(self, block: np.ndarray) -> np.ndarray:
-        if block.size == 0:
-            return np.empty(0)
-        combined = np.concatenate([self._hist, block]) if self._hist.size else block
-        if combined.size < self.taps.size:
-            # np.convolve swaps its arguments when the signal is the
-            # shorter one, which reverses the summation order of the
-            # boundary dot products.  Right-padding with zeros keeps
-            # the batch argument order without touching the emitted
-            # outputs (they only depend on samples before the padding).
-            ext = np.concatenate([combined, np.zeros(self.taps.size - combined.size)])
-        else:
-            ext = combined
-        out = np.convolve(ext, self.taps, mode="full")
-        emitted = out[self._hist.size : self._hist.size + block.size]
-        keep = min(combined.size, self.taps.size - 1)
-        self._hist = combined[combined.size - keep :]
-        return emitted
+    def step(
+        self,
+        hist: np.ndarray,
+        count: np.ndarray,
+        values: np.ndarray,
+        lengths: np.ndarray | None,
+    ) -> np.ndarray:
+        """Filter one multi-row block; return ``(rows, width)`` outputs.
+
+        ``hist`` is updated in place; ``count`` is each row's number of
+        real history samples before this block (``None``: all full).
+        """
+        taps = self.taps
+        c = taps.size - 1
+        ext = shift_rows(hist, values, lengths)
+        rows, span = ext.shape
+        out = np.convolve(ext.ravel(), taps)[: rows * span].reshape(rows, span)[:, c:]
+        if count is not None and (count < c).any():
+            width = values.shape[1]
+            for r in np.flatnonzero(count < c).tolist():
+                k = int(count[r])
+                n = width if lengths is None else int(lengths[r])
+                combined = ext[r, c - k : c + n]
+                if combined.size < taps.size:
+                    # np.convolve swaps its arguments when the signal
+                    # is the shorter one, which reverses the summation
+                    # order of the boundary dot products.  Right-padding
+                    # with zeros keeps the batch argument order without
+                    # touching the emitted outputs.
+                    combined = np.concatenate([combined, np.zeros(taps.size - combined.size)])
+                out[r, :n] = np.convolve(combined, taps)[k : k + n]
+        return out
 
 
 class StreamingWavelet:
     """Stateful à-trous transform emitting delay-compensated columns.
 
     The batch :func:`dyadic_wavelet` recomputes every filter over the
-    whole record; this class carries the FIR state of all ``2 *
-    n_scales`` filters across ``push`` calls so each input sample is
-    filtered exactly once, no matter how the stream is blocked.
+    whole record; this class carries the FIR state of the filters
+    across ``push`` calls so each input sample is filtered exactly
+    once, no matter how the stream is blocked (the deepest scale's
+    low-pass output feeds nothing, so it is never computed).
 
     ``push(block)`` returns an ``(n_scales, k)`` array of the aligned
     coefficient columns that became complete across *all* scales (the
@@ -157,75 +186,122 @@ class StreamingWavelet:
     trailing replication the batch transform applies.  Concatenating
     all outputs is **bit-exact** with ``dyadic_wavelet(whole_stream)``
     — the tests assert equality for arbitrary block partitions.
+
+    Like :class:`~repro.dsp.kernels.StreamingExtremum`, a sequence of
+    1-D rows (of any lengths) advances that many independent
+    streams in one pass (one convolution per filter for all rows) and
+    returns a list of per-row ``(n_scales, k)`` arrays.
     """
 
     def __init__(self, n_scales: int = 4):
         if n_scales < 1:
             raise ValueError("n_scales must be >= 1")
         self.n_scales = n_scales
-        self._highpass = []
-        self._lowpass = []
-        for j in range(1, n_scales + 1):
-            factor = 1 << (j - 1)
-            self._highpass.append(_StreamingFIR(_upsample(HIGHPASS, factor)))
-            self._lowpass.append(_StreamingFIR(_upsample(LOWPASS, factor)))
+        factors = [1 << (j - 1) for j in range(1, n_scales + 1)]
+        self._highpass = [_StreamingFIR(_upsample(HIGHPASS, f)) for f in factors]
+        self._lowpass = [_StreamingFIR(_upsample(LOWPASS, f)) for f in factors[:-1]]
         self._delays = [scale_delay(j) for j in range(1, n_scales + 1)]
-        # Per-scale uncompensated detail samples not yet emitted as
-        # aligned columns; _base[j] is the absolute index of the first
-        # buffered detail sample.
-        self._details = [np.empty(0) for _ in range(n_scales)]
-        self._base = [0] * n_scales
-        self._consumed = 0
-        self._emitted = 0
+        lag = self._delays[-1]
+        # One state row per stream: every filter's history, then per
+        # scale the newest uncompensated detail samples still owed to
+        # an aligned column (lag + 1 - delay of them; the extra one
+        # keeps the last value for the flush-time replication).
+        widths = [fir.taps.size - 1 for fir in self._highpass + self._lowpass]
+        widths += [lag + 1 - delay for delay in self._delays]
+        bounds = np.cumsum([0] + widths).tolist()
+        self._slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        self._width = bounds[-1]
+        self._settle = max(widths[: 2 * n_scales - 1] + [lag])
+        self._state: np.ndarray | None = None
+        self._consumed: np.ndarray | None = None  # samples pushed per row
+        self._single = True
 
-    def push(self, block: np.ndarray) -> np.ndarray:
+    def push(self, block) -> np.ndarray | list[np.ndarray]:
         """Filter a block; return newly completed aligned columns."""
-        approximation = np.asarray(block, dtype=float)
-        if approximation.ndim != 1:
-            raise ValueError("blocks must be 1-D")
-        if approximation.size == 0:
-            return np.empty((self.n_scales, 0))
-        self._consumed += approximation.size
-        for j in range(self.n_scales):
-            detail = self._highpass[j].push(approximation)
-            self._details[j] = np.concatenate([self._details[j], detail])
-            approximation = self._lowpass[j].push(approximation)
-        # Aligned column i of scale j is detail_j[i + delay_j]; the
-        # deepest scale limits how far all rows are complete.
-        ready = self._consumed - self._delays[-1]
-        return self._emit(max(0, ready - self._emitted), final=False)
+        values, lengths, single = as_rows(block)
+        self._single = single
+        self._ensure_rows(values.shape[0])
+        columns, counts = self._step(values, lengths)
+        return from_rows(columns, counts, self._single)
 
-    def flush(self) -> np.ndarray:
-        """Emit the trailing columns (batch-style end replication)."""
-        out = self._emit(self._consumed - self._emitted, final=True)
-        self.reset()
-        return out
+    def flush(self) -> np.ndarray | list[np.ndarray]:
+        """Emit the trailing columns (batch-style end replication) and
+        reset every row for a fresh stream."""
+        if self._state is None:
+            return np.empty((self.n_scales, 0)) if self._single else []
+        columns, counts = self._flush_step()
+        return from_rows(columns, counts, self._single)
 
     def reset(self) -> None:
         """Forget all filter state (ready for a fresh stream)."""
-        self.__init__(self.n_scales)
+        if self._state is not None:
+            self._state[...] = 0.0
+            self._consumed[...] = 0
 
-    def _emit(self, k: int, final: bool) -> np.ndarray:
-        if k <= 0:
-            return np.empty((self.n_scales, 0))
-        columns = np.empty((self.n_scales, k))
-        start = self._emitted
-        for j in range(self.n_scales):
-            delay = self._delays[j]
-            buffered = self._details[j]
-            lo = start + delay - self._base[j]
-            row = buffered[lo : lo + k]
-            if row.size < k:
-                # Past the stream end: replicate the last detail value,
-                # exactly like the batch delay compensation.
-                row = np.concatenate([row, np.full(k - row.size, buffered[-1])])
-            columns[j] = row
-            if not final:
-                # Keep what later columns (or flush) still need.
-                keep = start + k + delay - self._base[j]
-                keep = min(keep, buffered.size - 1)  # retain the last value
-                if keep > 0:
-                    self._details[j] = buffered[keep:]
-                    self._base[j] += keep
-        self._emitted += k
-        return columns
+    def _ensure_rows(self, rows: int) -> None:
+        if self._state is None:
+            self._state = np.zeros((rows, self._width))
+            self._consumed = np.zeros(rows, dtype=np.int64)
+        elif self._state.shape[0] != rows:
+            raise ValueError(f"row count changed mid-stream ({self._state.shape[0]} -> {rows})")
+
+    def _step(
+        self, values: np.ndarray, lengths: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Advance every row; return ``((rows, n_scales, width), counts)``."""
+        width = values.shape[1]
+        n_scales = self.n_scales
+        if width == 0:
+            return np.empty((values.shape[0], n_scales, 0)), lengths
+        state, slices = self._state, self._slices
+        before = self._consumed.copy()
+        # Past every row's stream start, all histories are full and
+        # each pushed sample completes one aligned column.
+        steady = before.min() >= self._settle
+        fir_slices = slices[: 2 * n_scales - 1]
+        detail_slices = slices[2 * n_scales - 1 :]
+        approximation = values
+        extended = []
+        for j in range(n_scales):
+            hist = state[:, fir_slices[j]]
+            count = None if steady else np.minimum(before, hist.shape[1])
+            detail = self._highpass[j].step(hist, count, approximation, lengths)
+            extended.append(shift_rows(state[:, detail_slices[j]], detail, lengths))
+            if j < n_scales - 1:
+                hist = state[:, fir_slices[n_scales + j]]
+                count = None if steady else np.minimum(before, hist.shape[1])
+                approximation = self._lowpass[j].step(hist, count, approximation, lengths)
+        self._consumed += width if lengths is None else lengths
+        columns = np.empty((values.shape[0], n_scales, width))
+        if steady:
+            for j, ext in enumerate(extended):
+                columns[:, j] = ext[:, 1 : 1 + width]
+            return columns, lengths
+        # Aligned column i of scale j is detail_j[i + delay_j]; the
+        # deepest scale limits how far all rows are complete.  In each
+        # extended detail row the first column still owed sits at
+        # position ``lag + 1 - (consumed - emitted)`` for every scale.
+        lag = self._delays[-1]
+        emitted = np.maximum(before - lag, 0)
+        first = emitted - before + lag + 1
+        counts = np.maximum(self._consumed - lag, 0) - emitted
+        for j, ext in enumerate(extended):
+            columns[:, j] = take_rows(ext, first, width)
+        return columns, counts
+
+    def _flush_step(self) -> tuple[np.ndarray, np.ndarray]:
+        """Emit every row's remaining columns; reset the rows."""
+        lag = self._delays[-1]
+        consumed = self._consumed
+        emitted = np.maximum(consumed - lag, 0)
+        counts = consumed - emitted
+        width = int(counts.max())
+        first = emitted - consumed + lag + 1
+        columns = np.empty((consumed.size, self.n_scales, width))
+        for j, sl in enumerate(self._slices[2 * self.n_scales - 1 :]):
+            carry = self._state[:, sl]
+            # Past the stream end: replicate the last detail value,
+            # exactly like the batch delay compensation.
+            columns[:, j] = take_rows(carry, first, width)
+        self.reset()
+        return columns, counts

@@ -8,10 +8,14 @@ that ingestion layer:
 * :class:`StreamGateway` — ``open_session(id)`` / ``ingest(id, chunk)``
   / ``close_session(id)``.  Each session is a
   :class:`~repro.dsp.streaming.StreamingNode` in deferred-classify
-  mode: its per-sample front end (filtering, wavelet peak detection,
-  beat windowing) runs inline during ``ingest``, but instead of one
-  ``predict`` call per beat the pending beats of *all* sessions queue
-  in a cross-session :class:`BeatBatch`.  The gateway flushes the
+  mode.  ``ingest`` stages the chunk; the per-sample front end
+  (filtering, wavelet peak detection, beat windowing) of every staged
+  chunk then runs as **one** batched pass across sessions and leads
+  (:func:`~repro.dsp.streaming.push_nodes`) — when a session with a
+  staged chunk ingests again, when a staged chunk's latency budget
+  comes due, and before any flush, close, export or snapshot.  Instead
+  of one ``predict`` call per beat the pending beats of *all* sessions
+  queue in a cross-session :class:`BeatBatch`.  The gateway flushes the
   batch through **one** classifier pass per tick — when it reaches
   ``max_batch`` beats or the oldest pending beat has waited
   ``max_latency_ticks`` ingest calls — then routes the labeled
@@ -69,7 +73,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.dsp.streaming import NodeSnapshot, StreamBeatEvent, StreamingNode
+from repro.dsp.streaming import NodeSnapshot, StreamBeatEvent, StreamingNode, push_nodes
 from repro.serving.analytics import AnalyticsPipeline, empty_rollup, merge_rollups
 from repro.serving.executors import validate_at_least
 
@@ -266,13 +270,30 @@ class _Clock:
         self.tick = 0
 
 
+class _Stage:
+    """Ingested chunks whose front end has not run yet.
+
+    ``chunks`` maps a session id to ``(owner gateway, session, block,
+    arrival tick)``; ``deadline`` is the earliest tick by which one of
+    them must run (its arrival plus its session's latency budget), so
+    staging never delays a classification past that budget.
+    """
+
+    __slots__ = ("chunks", "deadline")
+
+    def __init__(self) -> None:
+        self.chunks: dict[str, tuple] = {}
+        self.deadline: int | None = None
+
+
 class GatewayGroup:
     """Shared batch + clock for a set of co-located gateways.
 
     Gateways constructed with ``group=`` queue their pending beats
     into **one** cross-gateway :class:`BeatBatch` on **one** shared
-    tick clock, so a flush triggered by any member classifies every
-    member's beats in a single ``predict`` call — the in-process
+    tick clock (and stage their chunks for one shared front-end pass),
+    so a flush triggered by any member classifies every member's beats
+    in a single ``predict`` call — the in-process
     analogue of the sharded tier's per-worker batches, collapsed.
     Labeled beats are routed back to whichever member owns the
     session; flush/classified counters accrue on the member that
@@ -286,6 +307,7 @@ class GatewayGroup:
     def __init__(self) -> None:
         self.batch = BeatBatch()
         self.clock = _Clock()
+        self.stage = _Stage()
         self.gateways: list["StreamGateway"] = []
 
     def _register(self, gateway: "StreamGateway") -> None:
@@ -374,8 +396,10 @@ class StreamGateway:
     ``ingest`` returns the newly finalized events *of that session*
     (a flush triggered by one session may resolve beats of others —
     those are queued and returned by their own next ``ingest`` /
-    ``poll``).  ``close_session`` force-flushes so its return value
-    completes the session's event sequence.
+    ``poll``).  Chunks are staged so the per-sample front end of many
+    sessions runs as one batched pass (see :meth:`ingest`).
+    ``close_session`` force-flushes so its return value completes the
+    session's event sequence.
     """
 
     def __init__(
@@ -431,10 +455,12 @@ class StreamGateway:
         if group is not None:
             self._batch = group.batch
             self._clock = group.clock
+            self._stage = group.stage
             group._register(self)
         else:
             self._batch = BeatBatch()
             self._clock = _Clock()
+            self._stage = _Stage()
         self._evicted: dict[str, list[StreamBeatEvent]] = {}
         # Sessions whose analytics pipeline has unfolded events; drained
         # in one batched pass per flush (see _drain_analytics).
@@ -540,6 +566,21 @@ class StreamGateway:
     def ingest(self, session_id: str, chunk: np.ndarray) -> list[StreamBeatEvent]:
         """Feed one chunk of raw samples; return the session's new events.
 
+        The chunk is validated now (a malformed chunk fails this call),
+        but it is *staged*: its input coalescing (``coalesce > 1``) and
+        front end (filtering, wavelet peak detection, beat windowing)
+        run later, in one batched pass over every staged chunk of the
+        gateway (or group) — one 2-D filter and wavelet pass for all
+        their sessions and leads.  The pass runs when this session
+        already has a staged chunk, when a staged chunk's latency
+        budget comes due (its arrival tick plus the session's budget —
+        the same deadline its beats get, so no verdict is classified
+        later than without staging), at once for a chunk longer than
+        one front-end step (a second), and before :meth:`flush_batch`,
+        :meth:`close_session`, :meth:`export_session` /
+        :meth:`release_session` and journal snapshots — never in
+        :meth:`poll`, which only drains.
+
         Advances the gateway clock by one tick, flushes the
         cross-session batch if it is full or any session's oldest beat
         has hit its latency budget, and evicts sessions idle past
@@ -553,11 +594,21 @@ class StreamGateway:
             # Write-ahead: the chunk is durable before it is applied,
             # so the acknowledged prefix survives a process crash.
             self.journal.log_chunk(session_id, chunk)
-        self._feed(session_id, session, session.node.push(chunk))
-        self._collect(session_id, session)
-        clock = self._clock
+        block = session.node._validate(chunk)  # a malformed chunk fails here
+        stage, clock = self._stage, self._clock
+        if session_id in stage.chunks:
+            self._run_staged()
+        arrival = clock.tick
         clock.tick += 1
         session.last_active = clock.tick
+        stage.chunks[session_id] = (self, session, block, arrival)
+        # A chunk longer than one front-end step (the node's 1 s chop)
+        # runs at once, with whatever else is staged.
+        deadline = arrival if len(block) > session.node._chop else arrival + self._budget(session)
+        if stage.deadline is None or deadline < stage.deadline:
+            stage.deadline = deadline
+        if clock.tick >= stage.deadline:
+            self._run_staged()
         if len(self._batch) >= self.max_batch or self._latency_budget_hit():
             self.flush_batch()
         self._evict_idle()
@@ -622,8 +673,34 @@ class StreamGateway:
         return evicted
 
     def poll(self, session_id: str) -> list[StreamBeatEvent]:
-        """Drain the session's queued events without ingesting samples."""
+        """Drain the session's queued events without ingesting samples
+        (staged chunks stay staged)."""
         return self._deliver(session_id, self._get(session_id).drain())
+
+    def _run_staged(self) -> None:
+        """Run the front end of every staged chunk (this gateway's and
+        its group peers') as one batched pass, and queue the beats it
+        extracts under their chunks' arrival ticks (flushing whenever
+        the batch fills, as ``ingest`` would)."""
+        stage = self._stage
+        if not stage.chunks:
+            return
+        chunks = stage.chunks
+        stage.chunks = {}
+        stage.deadline = None
+        entries = list(chunks.values())
+        results = push_nodes(
+            [session.node for _, session, _, _ in entries],
+            [block for _, _, block, _ in entries],
+        )
+        # Every session's pass events precede anything a mid-pass flush
+        # resolves for it, so they are all queued first.
+        for session_id, (owner, session, _, _), events in zip(chunks, entries, results):
+            owner._feed(session_id, session, events)
+        for session_id, (owner, session, _, arrival) in zip(chunks, entries):
+            owner._collect(session_id, session, arrival)
+            if len(owner._batch) >= owner.max_batch:  # the size bound holds mid-pass too
+                owner.flush_batch()
 
     def close_session(self, session_id: str) -> list[StreamBeatEvent]:
         """End a session; return the remainder of its event sequence.
@@ -634,8 +711,9 @@ class StreamGateway:
         path, and removes the session.
         """
         session = self._get(session_id)
+        self._run_staged()
         self._feed(session_id, session, session.node.finish_input())
-        self._collect(session_id, session)
+        self._collect(session_id, session, self._clock.tick)
         self.flush_batch()
         self._feed(session_id, session, session.node.finalize())
         if session.analytics is not None:
@@ -651,8 +729,10 @@ class StreamGateway:
 
         Called automatically by the size/latency policy; call directly
         to bound latency externally (e.g. from a timer) or before a
-        quiet period.
+        quiet period.  Staged chunks run through the front end first,
+        so their beats are classified in this pass too.
         """
+        self._run_staged()
         session_ids, handles, rows = self._batch.drain()
         if rows is None:
             self._drain_analytics()
@@ -906,14 +986,19 @@ class StreamGateway:
         except KeyError:
             raise KeyError(f"no open session {session_id!r}") from None
 
-    def _collect(self, session_id: str, session: _Session) -> None:
+    def _budget(self, session: _Session) -> int:
+        """The session's effective latency budget in ticks."""
+        if session.latency_budget is None:
+            return self.max_latency_ticks
+        return min(self.max_latency_ticks, session.latency_budget)
+
+    def _collect(self, session_id: str, session: _Session, tick: int) -> None:
+        """Queue the session's newly extracted beats, stamped with
+        ``tick`` (the arrival tick of the chunk they came from)."""
         pending = session.node.take_pending()
         if not pending:
             return
-        budget = self.max_latency_ticks
-        if session.latency_budget is not None:
-            budget = min(budget, session.latency_budget)
-        tick = self._clock.tick
+        budget = self._budget(session)
         batch = self._batch
         for handle, row in pending:
             batch.add(session_id, handle, row, tick, budget)

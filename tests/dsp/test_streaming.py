@@ -142,3 +142,38 @@ class TestStreamingPeakDetector:
         detector = StreamingPeakDetector(360.0)
         with pytest.raises(ValueError):
             detector.push(np.zeros((2, 2)))
+
+
+class TestTailBuffer:
+    """The amortized stream buffer behind the node's segment buffer,
+    the detector's coefficient columns and the delineator's samples."""
+
+    def test_matches_concatenate_and_slice(self):
+        from repro.dsp.kernels import TailBuffer
+
+        rng = np.random.default_rng(4)
+        buffer, reference = TailBuffer((2,)), np.empty((2, 0))
+        for _ in range(2000):
+            block = rng.standard_normal((2, int(rng.integers(0, 120))))
+            buffer.append(block)
+            reference = np.concatenate([reference, block], axis=1)
+            keep = int(rng.integers(300, 600))
+            if reference.shape[1] > keep:
+                buffer.drop(reference.shape[1] - keep)
+                reference = reference[:, -keep:]
+            np.testing.assert_array_equal(buffer.view, reference)
+        assert buffer._data.shape[1] <= 2 * (600 + 120)  # bounded, not grown per push
+
+    def test_pickles_only_the_live_region(self):
+        import copy
+        import pickle
+
+        from repro.dsp.kernels import TailBuffer
+
+        buffer = TailBuffer()
+        for i in range(100):
+            buffer.append(np.full(50, float(i)))
+            buffer.drop(max(0, len(buffer) - 120))
+        for clone in (pickle.loads(pickle.dumps(buffer)), copy.deepcopy(buffer)):
+            np.testing.assert_array_equal(clone.view, buffer.view)
+            assert clone._data.shape == (120,)

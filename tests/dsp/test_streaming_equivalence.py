@@ -1,8 +1,8 @@
 """Streaming/batch bit-exact equivalence and op-count invariance.
 
-The O(n) kernels (van Herk–Gil-Werman morphology, stateful streaming
-cascades, carried-state wavelet filters) must change *nothing*
-observable except wall-clock time:
+The fast kernels (doubling sliding-extremum morphology, stateful
+multi-row streaming cascades, carried-state wavelet filters) must
+change *nothing* observable except wall-clock time:
 
 * streamed outputs equal the batch outputs **bit for bit** — across
   block sizes {1, 7, 64, 1024} and sampling rates {90, 250, 360} Hz;
@@ -240,3 +240,115 @@ class TestStreamingDetectorFlush:
         # Everything reported after the reset sits past the discarded
         # 100-sample prefix.
         assert all(p >= 100 for p in confirmed)
+
+
+def _row_schedule(n_rows: int, n_samples: int, block: int, seed: int):
+    """Per push, each row's block length: rows start ``r`` pushes late
+    (phase skew), blocks vary around ``block`` (ragged), and every
+    third push gives the rows single samples."""
+    rng = np.random.default_rng(seed)
+    offsets = [0] * n_rows
+    pushes = []
+    step = 0
+    while any(o < n_samples for o in offsets):
+        sizes = []
+        for r in range(n_rows):
+            if step < r or offsets[r] >= n_samples:
+                sizes.append(0)
+                continue
+            size = 1 if step % 3 == 2 else int(rng.integers(1, 2 * block + 1))
+            size = min(size, n_samples - offsets[r])
+            sizes.append(size)
+            offsets[r] += size
+        pushes.append(sizes)
+        step += 1
+    return pushes
+
+
+def _stream_rows(make, signals, pushes):
+    """Feed ragged multi-row pushes into one instance; return each row's
+    concatenated outputs (flush included) and the matching 1-D runs."""
+    rows = make()
+    parts = [[] for _ in signals]
+    singles = [make() for _ in signals]
+    single_parts = [[] for _ in signals]
+    offsets = [0] * len(signals)
+    for sizes in pushes:
+        blocks = []
+        for r, size in enumerate(sizes):
+            blocks.append(signals[r][offsets[r] : offsets[r] + size])
+            if size:
+                single_parts[r].append(singles[r].push(blocks[-1]))
+            offsets[r] += size
+        for r, out in enumerate(rows.push(blocks)):
+            parts[r].append(out)
+    for r, out in enumerate(rows.flush()):
+        parts[r].append(out)
+        single_parts[r].append(singles[r].flush())
+    axis = -1
+    return (
+        [np.concatenate(p, axis=axis) for p in parts],
+        [np.concatenate(p, axis=axis) for p in single_parts],
+    )
+
+
+class TestRowBatchedBitExact:
+    """Multi-row pushes (several streams in one vectorized pass) equal
+    each row's own 1-D run and the batch transform, bit for bit —
+    through ragged, phase-skewed rows, single-sample pushes and every
+    row's stream-start warm-up (short FIR histories, filling carries)."""
+
+    @pytest.mark.parametrize("fs", SAMPLING_RATES)
+    @pytest.mark.parametrize("block", [1, 7, 90])
+    def test_block_filter_rows(self, fs, block):
+        signals = [_signal(fs, seconds=3.0, seed=s) for s in (1, 2, 3, 4)]
+        pushes = _row_schedule(len(signals), signals[0].size, block, seed=block)
+        rows, singles = _stream_rows(lambda: BlockFilter(fs), signals, pushes)
+        for x, row, single in zip(signals, rows, singles):
+            np.testing.assert_array_equal(row, single)
+            np.testing.assert_array_equal(row, filter_lead(x, fs))
+
+    @pytest.mark.parametrize("fs", SAMPLING_RATES)
+    @pytest.mark.parametrize("block", [1, 7, 90])
+    def test_wavelet_rows(self, fs, block):
+        signals = [_signal(fs, seconds=3.0, seed=s) for s in (5, 6, 7)]
+        pushes = _row_schedule(len(signals), signals[0].size, block, seed=block)
+        rows, singles = _stream_rows(lambda: StreamingWavelet(4), signals, pushes)
+        for x, row, single in zip(signals, rows, singles):
+            np.testing.assert_array_equal(row, single)
+            np.testing.assert_array_equal(row, dyadic_wavelet(x))
+
+    @pytest.mark.parametrize("length", [2, 5, 17, 73])
+    def test_extremum_rows(self, rng, length):
+        signals = [rng.standard_normal(400) for _ in range(3)]
+        pushes = _row_schedule(len(signals), 400, 30, seed=length)
+        rows, singles = _stream_rows(
+            lambda: StreamingExtremum(length, maximum=True), signals, pushes
+        )
+        for x, row, single in zip(signals, rows, singles):
+            np.testing.assert_array_equal(row, single)
+            np.testing.assert_array_equal(row, dilation(x, length))
+
+    def test_detector_rows_match_single_row_detectors(self):
+        from repro.ecg.synth import RecordSynthesizer, SynthesisConfig
+
+        fs = 360.0
+        signals = [
+            filter_lead(RecordSynthesizer(SynthesisConfig(n_leads=1), seed=s).synthesize(25.0).lead(0), fs)
+            for s in (31, 32, 33)
+        ]
+        pushes = _row_schedule(len(signals), signals[0].size, 90, seed=9)
+        detector = StreamingPeakDetector(fs)
+        found = [[] for _ in signals]
+        offsets = [0] * len(signals)
+        for sizes in pushes:
+            blocks = [x[o : o + n] for x, o, n in zip(signals, offsets, sizes)]
+            offsets = [o + n for o, n in zip(offsets, sizes)]
+            for r, peaks in enumerate(detector.push(blocks)):
+                found[r].extend(peaks)
+        for r, peaks in enumerate(detector.flush()):
+            found[r].extend(peaks)
+        for x, peaks in zip(signals, found):
+            single = StreamingPeakDetector(fs)
+            expected = single.push(x) + single.flush()
+            assert peaks == expected and len(peaks) > 10

@@ -270,3 +270,52 @@ class TestGatewaySessions:
         export = gateway.export_session("p")
         with pytest.raises(ValueError, match="already open"):
             gateway.import_session(export)
+
+
+class TestBatchedFrontEnd:
+    """Staged chunks of many sessions run through one batched front-end
+    pass; no session may see another's samples or stream position."""
+
+    def test_hostile_session_stays_isolated_in_the_batched_pass(
+        self, records, reference_events, embedded_classifier, monkeypatch
+    ):
+        """A session streaming NaN and inf samples shares the 2-D pass
+        with healthy sessions; every healthy session's events stay
+        bit-exact with its standalone node."""
+        import repro.serving.gateway as gateway_module
+
+        passes = []
+        real_push_nodes = gateway_module.push_nodes
+
+        def recording_push_nodes(nodes, blocks, **kwargs):
+            passes.append(list(nodes))
+            return real_push_nodes(nodes, blocks, **kwargs)
+
+        monkeypatch.setattr(gateway_module, "push_nodes", recording_push_nodes)
+        gateway = StreamGateway(embedded_classifier, records[0].fs, n_leads=N_LEADS)
+        hostile = records[0].signal.copy()
+        hostile[1000:1040, 0] = np.nan
+        hostile[2500, 1] = np.inf
+        hostile[4000, 2] = -np.inf
+        streams = {f"s{i}": record.signal for i, record in enumerate(records)}
+        streams["hostile"] = hostile
+        events = serve_round_robin(gateway, streams, int(0.25 * records[0].fs))
+        assert any(len(nodes) == len(streams) for nodes in passes), (
+            "the hostile session was never batched with the healthy ones"
+        )
+        for i, expected in enumerate(reference_events):
+            assert_events_equal(expected, events[f"s{i}"])
+
+    def test_malformed_chunk_fails_its_own_ingest(self, records, embedded_classifier):
+        """Validation happens at ingest, not in a later batched pass."""
+        gateway = StreamGateway(embedded_classifier, records[0].fs, n_leads=N_LEADS)
+        gateway.open_session("good")
+        gateway.open_session("bad")
+        gateway.ingest("good", records[0].signal[:90])
+        with pytest.raises(ValueError):
+            gateway.ingest("bad", np.zeros((90, N_LEADS + 1)))
+        events = gateway.ingest("good", records[0].signal[90:])
+        events += gateway.close_session("good")
+        gateway.close_session("bad")
+        reference = StreamingNode(embedded_classifier, records[0].fs, n_leads=N_LEADS)
+        assert_events_equal(reference.push(records[0].signal) + reference.flush(), events)
