@@ -50,7 +50,10 @@ This module provides that engine:
   :class:`NodeSnapshot` so live sessions can migrate between shards.
 * :func:`push_nodes` — many nodes' pushes as one batched front-end
   pass (one stacked filter push over every lead of every node, one
-  stacked detector push), the gateway's per-round DSP step.
+  stacked detector push), the gateway's per-round DSP step.  A node
+  stashes sub-second pushes whose samples cannot change what it emits
+  yet, so such a pass carries about one 1 s block per node instead of
+  one per chunk.
 
 The filter/detector classes record no op counts: the counters model
 the embedded firmware's *batch-equivalent* arithmetic, which is
@@ -634,15 +637,27 @@ class StreamingNode:
         both modes; only the ``predict`` batching differs (exact for
         the integer classifier).
     coalesce:
-        Input-coalescing threshold in samples (default 1 = process
-        every push immediately).  With ``coalesce > 1``, pushes
-        smaller than the threshold are stashed and the front end runs
-        once the stash reaches it — amortizing the per-call kernel
-        overhead when callers stream tiny (per-ADC-block or per-frame)
-        chunks.  The streaming stages are partition-invariant, so the
-        event sequence is bit-identical to uncoalesced pushes; only
-        *when* events are returned shifts (by at most ``coalesce``
-        samples, and never past :meth:`flush`).
+        Input-coalescing threshold in samples (default 1 = no forced
+        coalescing).  With ``coalesce > 1``, pushes smaller than the
+        threshold are stashed and the front end runs once the stash
+        reaches it — amortizing the per-call kernel overhead when
+        callers stream tiny (per-ADC-block or per-frame) chunks.  The
+        streaming stages are partition-invariant, so the event
+        sequence is bit-identical to uncoalesced pushes; only *when*
+        events are returned shifts (by at most ``coalesce`` samples,
+        and never past :meth:`flush`).
+
+        Independently of ``coalesce``, the node also stashes pushes
+        while the stash is shorter than its 1 s internal chop and
+        running it could not emit, extract or delineate anything: no
+        beat is queued, the delineator has none pending and the
+        detector is short of a full analysis window.  Between beat
+        confirmations (one detector window per 8.5 s) that holds for
+        most sub-second pushes, so the filter and wavelet run on about
+        one block per second instead of one per push, and no event
+        surfaces later than without the stash.  A node may therefore
+        hold up to 1 s of samples unfiltered (``flush``,
+        ``finish_input`` and :meth:`snapshot` include them).
     """
 
     def __init__(
@@ -763,7 +778,11 @@ class StreamingNode:
         return node
 
     def push(self, block: np.ndarray) -> list[StreamBeatEvent]:
-        """Feed raw samples ``(n,)`` or ``(n, n_leads)``; return new events."""
+        """Feed raw samples ``(n,)`` or ``(n, n_leads)``; return new events.
+
+        The caller may reuse ``block``'s buffer once the call returns:
+        samples the node keeps for later (see ``coalesce``) are copied.
+        """
         block = self._admit(block)
         return [] if block is None else self._process(block)
 
@@ -778,24 +797,48 @@ class StreamingNode:
         return block
 
     def _admit(self, block: np.ndarray) -> np.ndarray | None:
-        """Validate a pushed block and apply input coalescing: return
-        the ``(n, n_leads)`` samples the front end should run now, or
-        ``None`` while they wait in the stash."""
+        """Validate a pushed block and add it to the stash: return the
+        ``(n, n_leads)`` samples the front end should run now, or
+        ``None`` while they wait in the stash.
+
+        The stash holds samples the front end has not seen.  It stays
+        put while it is below ``coalesce`` (input coalescing), or while
+        it is shorter than one chop and running it could not change
+        anything the node emits (:meth:`_quiet`).  The stages are
+        partition-invariant, so deferral never changes which events
+        surface; the quiet rule also keeps it from changing *when*.
+        """
         block = self._validate(block)
-        if self._coalesce > 1:
-            # Stash sub-threshold pushes; run the kernels once enough
-            # samples accumulate.  The stages are partition-invariant,
-            # so this only shifts *when* events surface, never which.
-            self._stash.append(block)
-            self._stashed += block.shape[0]
-            if self._stashed < self._coalesce:
-                return None
-            block = (
-                self._stash[0] if len(self._stash) == 1
-                else np.concatenate(self._stash, axis=0)
-            )
-            self._stash.clear()
-            self._stashed = 0
+        stashed = self._stashed + block.shape[0]
+        if stashed < self._coalesce or (stashed < self._chop and self._quiet(stashed)):
+            # Kept past this call, so copied: the caller may reuse its buffer.
+            self._stash.append(block.copy())
+            self._stashed = stashed
+            return None
+        if not self._stash:
+            return block
+        self._stash.append(block)
+        return self._take_stash()
+
+    def _quiet(self, stashed: int) -> bool:
+        """Would running ``stashed`` more samples emit, extract or
+        delineate nothing?  True while no queued beat waits for right
+        context or a label, the delineator has no beat pending, and the
+        detector's buffered coefficient columns plus the new samples
+        stay below one analysis window (each push adds at most as many
+        columns as samples, exactly as many in the steady state)."""
+        return (
+            not self._queue
+            and not self._delineator._pending
+            and len(self._detector._rows[0].coeffs) + stashed < self._detector.window
+        )
+
+    def _take_stash(self) -> np.ndarray:
+        """Empty the stash into one ``(n, n_leads)`` block."""
+        stash = self._stash
+        block = stash[0] if len(stash) == 1 else np.concatenate(stash, axis=0)
+        stash.clear()
+        self._stashed = 0
         return block
 
     def _process(self, block: np.ndarray) -> list[StreamBeatEvent]:
@@ -843,16 +886,8 @@ class StreamingNode:
         return events
 
     def _drain_stash(self) -> list[StreamBeatEvent]:
-        """Process any coalesced samples still waiting in the stash."""
-        if not self._stash:
-            return []
-        block = (
-            self._stash[0] if len(self._stash) == 1
-            else np.concatenate(self._stash, axis=0)
-        )
-        self._stash.clear()
-        self._stashed = 0
-        return self._process(block)
+        """Process any samples still waiting in the stash."""
+        return self._process(self._take_stash()) if self._stash else []
 
     def finish_input(self) -> list[StreamBeatEvent]:
         """Deferred mode, step 1 of the stream end: flush the front end.
@@ -1097,13 +1132,15 @@ def push_nodes(nodes, blocks) -> list[list[StreamBeatEvent]]:
 
     Equivalent to ``[node.push(block) for node, block in zip(nodes,
     blocks)]`` — the same events, bit for bit, and the same input
-    validation and coalescing per node — but the per-sample front end
-    of every node runs as one batched pass: one multi-row
-    :class:`BlockFilter` push over every lead of every node, then one
-    multi-row :class:`StreamingPeakDetector` push over every node's
-    detection lead, instead of one small kernel call per lead, stage
-    and node.  Each node then consumes its own rows (delineation,
-    segmentation, beat scheduling) exactly as its own ``push`` would.
+    validation and stashing per node (a node whose stash stays quiet,
+    see ``StreamingNode``'s ``coalesce``, sits the pass out) — but the
+    per-sample front end of every node that runs goes through one
+    batched pass: one multi-row :class:`BlockFilter` push over every
+    lead of every node, then one multi-row
+    :class:`StreamingPeakDetector` push over every node's detection
+    lead, instead of one small kernel call per lead, stage and node.
+    Each node then consumes its own rows (delineation, segmentation,
+    beat scheduling) exactly as its own ``push`` would.
 
     The nodes must share a sampling rate and detector configuration
     (all sessions of one gateway do); blocks may differ in length and

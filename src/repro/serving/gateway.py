@@ -579,7 +579,16 @@ class StreamGateway:
         one front-end step (a second), and before :meth:`flush_batch`,
         :meth:`close_session`, :meth:`export_session` /
         :meth:`release_session` and journal snapshots — never in
-        :meth:`poll`, which only drains.
+        :meth:`poll`, which only drains.  In that pass each session's
+        node may keep stashing: while its stash is shorter than one
+        second and running it could not emit, extract or delineate
+        anything (no beat in flight, the detector short of a window),
+        the filter and wavelet wait, so they run on about one 1 s
+        block per session instead of on every chunk (see
+        :class:`~repro.dsp.streaming.StreamingNode`'s ``coalesce``).
+        Every beat is still extracted in the same pass, under the same
+        arrival tick.  The chunk is copied when staged, so the caller
+        may reuse its buffer once ``ingest`` returns.
 
         Advances the gateway clock by one tick, flushes the
         cross-session batch if it is full or any session's oldest beat
@@ -594,7 +603,9 @@ class StreamGateway:
             # Write-ahead: the chunk is durable before it is applied,
             # so the acknowledged prefix survives a process crash.
             self.journal.log_chunk(session_id, chunk)
-        block = session.node._validate(chunk)  # a malformed chunk fails here
+        # A malformed chunk fails here; a staged one outlives this call,
+        # so it is copied (the caller may reuse its buffer).
+        block = session.node._validate(chunk).copy()
         stage, clock = self._stage, self._clock
         if session_id in stage.chunks:
             self._run_staged()

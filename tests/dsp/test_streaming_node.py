@@ -63,6 +63,18 @@ def run_node(record, classifier, block: int):
     return events
 
 
+def assert_same_events(expected, actual):
+    """Identical event sequences: peaks, labels, flags, payloads, fiducials."""
+    assert [(e.peak, e.label, e.flagged, e.tx_bytes) for e in actual] == [
+        (e.peak, e.label, e.flagged, e.tx_bytes) for e in expected
+    ]
+    for a, b in zip(expected, actual):
+        if a.fiducials is None:
+            assert b.fiducials is None
+        else:
+            np.testing.assert_array_equal(a.fiducials.as_array(), b.fiducials.as_array())
+
+
 class TestStreamingNode:
     @pytest.mark.parametrize("block_s", [0.25, 1.7])
     def test_bit_exact_with_record_scale_path(
@@ -136,11 +148,13 @@ class TestStreamingNode:
             if event.flagged:
                 assert event.fiducials is not None
 
+    @pytest.mark.parametrize("mid_stash", [False, True])
     def test_snapshot_restore_continues_bit_exact(
-        self, record, embedded_classifier, reference
+        self, record, embedded_classifier, reference, mid_stash
     ):
         """A session restored from a (pickled) snapshot continues the
-        stream with events identical to the uninterrupted node."""
+        stream with events identical to the uninterrupted node — also
+        when the snapshot is taken while samples wait in the stash."""
         kept_peaks, labels, _, _ = reference
         block = int(0.5 * record.fs)
         half = (record.n_samples // (2 * block)) * block
@@ -148,7 +162,12 @@ class TestStreamingNode:
         events = []
         for i in range(0, half, block):
             events += node.push(record.signal[i : i + block])
+        while mid_stash and node._stashed == 0 and half + block < record.n_samples:
+            events += node.push(record.signal[half : half + block])
+            half += block
         snapshot = pickle.loads(pickle.dumps(node.snapshot()))
+        if mid_stash:
+            assert snapshot.state["_stashed"] > 0
         assert isinstance(snapshot, NodeSnapshot)
         restored = StreamingNode.restore(embedded_classifier, snapshot)
         restored_events = list(events)
@@ -241,3 +260,104 @@ class TestStreamingNode:
         node = StreamingNode(embedded_classifier, record.fs, n_leads=3)
         with pytest.raises(ValueError):
             node.push(record.signal[:100, :2])  # wrong lead count
+
+    def test_reused_caller_buffer_with_coalescing(self, record, embedded_classifier):
+        """Regression: the coalesce stash kept views of the pushed
+        arrays, so a caller refilling one buffer for every 9-sample
+        chunk corrupted the stashed samples (13 events instead of 52
+        here).  Stashed samples are copies; events stay bit-exact."""
+        node = StreamingNode(
+            embedded_classifier, record.fs, n_leads=record.n_leads, coalesce=180
+        )
+        buffer = np.empty((9, record.n_leads))
+        events = []
+        for i in range(0, record.n_samples - 9 + 1, 9):
+            buffer[...] = record.signal[i : i + 9]
+            events += node.push(buffer)
+            assert node._stashed < max(node._coalesce, node._chop)
+        events += node.flush()
+        n = (record.n_samples // 9) * 9
+        reference = StreamingNode(embedded_classifier, record.fs, n_leads=record.n_leads)
+        expected = reference.push(record.signal[:n]) + reference.flush()
+        assert_same_events(expected, events)
+
+
+def deliver_pending(node, classifier):
+    """Deferred mode: classify the outbox in one batch, deliver it."""
+    pending = node.take_pending()
+    if not pending:
+        return []
+    labels = np.asarray(classifier.predict(np.vstack([row for _, row in pending])))
+    return node.deliver(list(zip((handle for handle, _ in pending), labels)))
+
+
+def push_resolved(node, block, classifier):
+    """Push, and in deferred mode deliver every label right away."""
+    events = node.push(block)
+    if node.defer_classification:
+        events += deliver_pending(node, classifier)
+    return events
+
+
+def end_stream(node, classifier):
+    if not node.defer_classification:
+        return node.flush()
+    events = node.finish_input() + deliver_pending(node, classifier)
+    return events + node.finalize()
+
+
+def chunk_bounds(rng, n):
+    """Random chunking of ``n`` samples: 1..400-sample chunks, runs of
+    1-sample pushes, and 1-sample pushes at the stream start."""
+    sizes = [1, 1, 1]
+    while sum(sizes) < n:
+        if rng.random() < 0.08:
+            sizes += [1] * int(rng.integers(2, 16))
+        else:
+            sizes.append(int(rng.integers(1, 401)))
+    bounds = np.minimum(np.cumsum(sizes), n)
+    return list(zip([0, *bounds[:-1].tolist()], bounds.tolist()))
+
+
+class TestNeverLater:
+    """Stashing and chunking never delay an event: after every push, a
+    node has emitted exactly what a fresh node emits when the same
+    prefix arrives as one block."""
+
+    @pytest.mark.parametrize("n_leads", [1, 3])
+    @pytest.mark.parametrize("defer", [False, True])
+    def test_events_match_one_block_prefix_after_every_push(
+        self, record, embedded_classifier, n_leads, defer
+    ):
+        fs = record.fs
+        signal = record.signal[: int(34 * fs), :n_leads]
+        if n_leads == 1:
+            signal = signal[:, 0]
+        first, second = signal[: int(24 * fs)], signal[int(24 * fs) :]
+
+        def fresh():
+            return StreamingNode(
+                embedded_classifier, fs, n_leads=n_leads, defer_classification=defer
+            )
+
+        # Reference state after the first stream, ended, as one block.
+        restarted = fresh()
+        restart_events = push_resolved(restarted, first, embedded_classifier)
+        restart_events += end_stream(restarted, embedded_classifier)
+        after_first = restarted.snapshot()
+
+        rng = np.random.default_rng(77 + n_leads + 10 * defer)
+        node, events = fresh(), []
+        for stream, start in ((first, None), (second, after_first)):
+            for lo, hi in chunk_bounds(rng, len(stream)):
+                events += push_resolved(node, stream[lo:hi], embedded_classifier)
+                assert node._stashed < max(node._coalesce, node._chop)
+                if start is None:
+                    reference, expected = fresh(), []
+                else:
+                    reference = StreamingNode.restore(embedded_classifier, start)
+                    expected = list(restart_events)
+                expected += push_resolved(reference, stream[:hi], embedded_classifier)
+                assert_same_events(expected, events)
+            events += end_stream(node, embedded_classifier)
+        assert len(events) > len(restart_events) > 10

@@ -534,27 +534,39 @@ class TestRestartRecovery:
         journal.close()
         assert_events_equal(reference_events[0], events)
 
-    @pytest.mark.parametrize("backend", ["file", "sqlite"])
+    @pytest.mark.parametrize(
+        "backend,mid_stash",
+        [
+            pytest.param("file", False, id="file"),
+            pytest.param("sqlite", False, id="sqlite"),
+            pytest.param("file", True, id="file-mid-stash"),
+        ],
+    )
     def test_recover_sessions_on_a_stream_gateway(
-        self, backend, records, embedded_classifier, reference_events,
+        self, backend, mid_stash, records, embedded_classifier, reference_events,
         assert_events_equal, tmp_path,
     ):
         """The single-process restart path: recover_sessions rebuilds
         journaled sessions on any gateway tier, here a StreamGateway
-        journaling into the same store (so durability continues)."""
+        journaling into the same store (so durability continues).  The
+        mid-stash row's last journal snapshot holds samples still
+        waiting in the node's stash."""
         record = records[1]
-        block = int(0.5 * FS)
+        block = int((0.25 if mid_stash else 0.5) * FS)
+        snapshot_every = 5 if mid_stash else 3
         third = record.n_samples // 3
-        journal = open_journal(str(tmp_path), backend, snapshot_every=3)
+        journal = open_journal(str(tmp_path), backend, snapshot_every=snapshot_every)
         first = StreamGateway(
             embedded_classifier, FS, n_leads=N_LEADS, journal=journal
         )
         first.open_session("p", max_latency_ticks=4)
         events = feed(first, "p", record.signal, block, stop=third)
+        if mid_stash:
+            assert journal.recover("p").export.snapshot.state["_stashed"] > 0
         del first  # simulated crash: no close, no export
         journal.close()
 
-        journal = open_journal(str(tmp_path), backend, snapshot_every=3)
+        journal = open_journal(str(tmp_path), backend, snapshot_every=snapshot_every)
         second = StreamGateway(
             embedded_classifier, FS, n_leads=N_LEADS, journal=journal
         )

@@ -239,11 +239,13 @@ class TestGatewaySessions:
         gateway.close_session("x")
         assert gateway.n_sessions == 0
 
+    @pytest.mark.parametrize("mid_stash", [False, True])
     def test_export_import_migrates_mid_stream(
-        self, records, embedded_classifier, reference_events
+        self, records, embedded_classifier, reference_events, mid_stash
     ):
         """A session exported from one gateway and imported (through
-        pickle) into another continues bit-exactly."""
+        pickle) into another continues bit-exactly — also when the
+        export captures samples still waiting in the node's stash."""
         record = records[0]
         fs = record.fs
         block = int(0.4 * fs)
@@ -254,7 +256,16 @@ class TestGatewaySessions:
         while i < record.n_samples // 2:
             events += source.ingest("p", record.signal[i : i + block])
             i += block
+        node = source._sessions["p"].node
+        while mid_stash and i < record.n_samples:
+            source.flush_batch()  # run the staged chunk: the stash is settled
+            if node._stashed:
+                break
+            events += source.ingest("p", record.signal[i : i + block])
+            i += block
         export = pickle.loads(pickle.dumps(source.export_session("p")))
+        if mid_stash:
+            assert export.snapshot.state["_stashed"] > 0
         assert source.poll("p") == []  # events moved into the export
         target.import_session(export)
         events += target.poll("p")
@@ -319,3 +330,59 @@ class TestBatchedFrontEnd:
         gateway.close_session("bad")
         reference = StreamingNode(embedded_classifier, records[0].fs, n_leads=N_LEADS)
         assert_events_equal(reference.push(records[0].signal) + reference.flush(), events)
+
+    def test_reused_caller_buffer(self, records, embedded_classifier, reference_events):
+        """Regression: staged chunks (and node stashes) kept views of
+        the caller's array, so three sessions fed from one reused
+        90-sample buffer got each other's samples (23/23/22 events
+        instead of 25/24/23 here).  Kept chunks are copies."""
+        fs = records[0].fs
+        gateway = StreamGateway(embedded_classifier, fs, n_leads=N_LEADS)
+        buffer = np.empty((90, N_LEADS))
+        events = [[] for _ in records]
+        for i in range(len(records)):
+            gateway.open_session(f"s{i}")
+        for lo in range(0, records[0].n_samples, 90):  # 20 s records: 80 full chunks
+            for i, record in enumerate(records):
+                buffer[...] = record.signal[lo : lo + 90]
+                events[i] += gateway.ingest(f"s{i}", buffer)
+        for i in range(len(records)):
+            events[i] += gateway.close_session(f"s{i}")
+            assert_events_equal(reference_events[i], events[i])
+
+    def test_flushed_sessions_match_standalone_push_for_push(
+        self, records, embedded_classifier
+    ):
+        """With a flush and a poll after every ingest, each session has
+        emitted exactly what a standalone inline node fed the same
+        chunks has emitted after each push: staging and stashing never
+        hold back a beat whose context is complete."""
+        fs = records[0].fs
+        rng = np.random.default_rng(5)
+        streams = {f"s{i}": record.signal for i, record in enumerate(records)}
+        streams["s0-again"] = records[0].signal  # same samples, other chunking
+        gateway = StreamGateway(embedded_classifier, fs, n_leads=N_LEADS)
+        nodes = {sid: StreamingNode(embedded_classifier, fs, n_leads=N_LEADS) for sid in streams}
+        offsets = dict.fromkeys(streams, 0)
+        events = {sid: [] for sid in streams}
+        expected = {sid: [] for sid in streams}
+        for sid in streams:
+            gateway.open_session(sid)
+        while live := [sid for sid in streams if offsets[sid] < len(streams[sid])]:
+            sid = live[int(rng.integers(len(live)))]
+            lo = offsets[sid]
+            chunk = streams[sid][lo : lo + int(rng.integers(1, 200))]
+            offsets[sid] = lo + len(chunk)
+            events[sid] += gateway.ingest(sid, chunk)
+            gateway.flush_batch()
+            expected[sid] += nodes[sid].push(chunk)
+            for other in streams:
+                events[other] += gateway.poll(other)
+                assert_events_equal(expected[other], events[other])
+            node = gateway._sessions[sid].node
+            assert node._stashed < max(node._coalesce, node._chop)
+        for sid in streams:
+            assert_events_equal(
+                expected[sid] + nodes[sid].flush(), events[sid] + gateway.close_session(sid)
+            )
+        assert sum(len(e) for e in events.values()) > 40
